@@ -18,17 +18,29 @@ import json
 import secrets
 from dataclasses import dataclass
 
-__all__ = ["Signature", "KeyPair", "KeyRegistry", "digest"]
+__all__ = ["Signature", "KeyPair", "KeyRegistry", "canonical", "digest"]
+
+# Equivalent to ``json.dumps(payload, sort_keys=True, default=repr)``, which
+# builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
 
 
-def _canonical(payload: object) -> bytes:
-    """Deterministic byte serialization of a payload for hashing/signing."""
-    return json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
+def canonical(payload: object) -> bytes:
+    """Deterministic byte serialization of a payload for hashing/signing.
+
+    ``bytes`` are taken to be canonical already and pass through unchanged:
+    the consensus messages cache their own canonical bytes, so hashing or
+    signing those bytes gives the same result as hashing or signing the
+    payload they were serialized from.
+    """
+    if type(payload) is bytes:
+        return payload
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def digest(payload: object) -> str:
     """SHA-256 digest of an arbitrary (JSON-serializable) payload."""
-    return hashlib.sha256(_canonical(payload)).hexdigest()
+    return hashlib.sha256(canonical(payload)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -45,16 +57,22 @@ class KeyPair:
     def __init__(self, owner: str, secret: bytes | None = None) -> None:
         self.owner = owner
         self._secret = secret if secret is not None else secrets.token_bytes(32)
+        # Keyed HMAC state, copied for each tag instead of re-deriving the
+        # inner and outer key pads from the secret every time.
+        self._mac = hmac.new(self._secret, digestmod=hashlib.sha256)
+
+    def _tag(self, payload: object) -> str:
+        mac = self._mac.copy()
+        mac.update(canonical(payload))
+        return mac.hexdigest()
 
     def sign(self, payload: object) -> Signature:
-        tag = hmac.new(self._secret, _canonical(payload), hashlib.sha256).hexdigest()
-        return Signature(signer=self.owner, tag=tag)
+        return Signature(signer=self.owner, tag=self._tag(payload))
 
     def verify(self, payload: object, signature: Signature) -> bool:
         if signature.signer != self.owner:
             return False
-        expected = hmac.new(self._secret, _canonical(payload), hashlib.sha256).hexdigest()
-        return hmac.compare_digest(expected, signature.tag)
+        return hmac.compare_digest(self._tag(payload), signature.tag)
 
 
 class KeyRegistry:

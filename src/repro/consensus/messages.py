@@ -7,13 +7,26 @@ collection; STATE for state transfer after recovery; and JOIN / EVICT plus
 their replies for reconfiguration requested by the system controller.
 Messages are plain frozen dataclasses so they can be hashed into digests and
 carried over the simulated network by value.
+
+Canonical bytes.  Each signed or USIG-certified message serializes its
+content once, lazily, into a ``functools.cached_property``
+(:attr:`ClientRequest.signed_payload`, the ``ui_content`` of PREPARE,
+COMMIT, CHECKPOINT, VIEW-CHANGE and NEW-VIEW).  The bytes are derived from
+the instance's *own* fields and are never passed in or copied from another
+message, so a ``dataclasses.replace``d or Byzantine-built message always
+serializes what it carries.  Only the bytes are cached, never a verdict:
+every receiver still checks the HMAC and the digest against them.  A
+sender computes the same bytes through the ``encode_content`` static
+method before the message (which carries the resulting UI) exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .crypto import Signature
+from .crypto import Signature, canonical
+from .crypto import digest as payload_digest
 from .usig import UniqueIdentifier
 
 __all__ = [
@@ -57,6 +70,16 @@ class ClientRequest:
             "value": self.value,
         }
 
+    @cached_property
+    def signed_payload(self) -> bytes:
+        """Canonical bytes of :meth:`payload`: what the client signs."""
+        return canonical(self.payload())
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 digest of :attr:`signed_payload`."""
+        return payload_digest(self.signed_payload)
+
 
 @dataclass(frozen=True)
 class Prepare:
@@ -67,6 +90,15 @@ class Prepare:
     request: ClientRequest
     leader_id: str
     ui: UniqueIdentifier
+
+    @staticmethod
+    def encode_content(view: int, sequence: int, request_digest: str) -> bytes:
+        """Canonical bytes the leader's USIG certifies."""
+        return canonical({"view": view, "sequence": sequence, "request": request_digest})
+
+    @cached_property
+    def ui_content(self) -> bytes:
+        return self.encode_content(self.view, self.sequence, self.request.digest)
 
 
 @dataclass(frozen=True)
@@ -79,6 +111,15 @@ class Commit:
     replica_id: str
     prepare_ui: UniqueIdentifier
     ui: UniqueIdentifier
+
+    @staticmethod
+    def encode_content(view: int, sequence: int, request_digest: str) -> bytes:
+        """Canonical bytes the sender's USIG certifies."""
+        return canonical({"view": view, "sequence": sequence, "digest": request_digest})
+
+    @cached_property
+    def ui_content(self) -> bytes:
+        return self.encode_content(self.view, self.sequence, self.request_digest)
 
 
 @dataclass(frozen=True)
@@ -102,6 +143,15 @@ class Checkpoint:
     replica_id: str
     ui: UniqueIdentifier
 
+    @staticmethod
+    def encode_content(sequence: int, state_digest: str) -> bytes:
+        """Canonical bytes the sender's USIG certifies."""
+        return canonical({"sequence": sequence, "digest": state_digest})
+
+    @cached_property
+    def ui_content(self) -> bytes:
+        return self.encode_content(self.sequence, self.state_digest)
+
 
 @dataclass(frozen=True)
 class ViewChange:
@@ -113,6 +163,21 @@ class ViewChange:
     checkpoint_digest: str
     ui: UniqueIdentifier
 
+    @staticmethod
+    def encode_content(new_view: int, last_executed: int, checkpoint_digest: str) -> bytes:
+        """Canonical bytes the voter's USIG certifies."""
+        return canonical(
+            {
+                "new_view": new_view,
+                "last_executed": last_executed,
+                "checkpoint": checkpoint_digest,
+            }
+        )
+
+    @cached_property
+    def ui_content(self) -> bytes:
+        return self.encode_content(self.new_view, self.last_executed, self.checkpoint_digest)
+
 
 @dataclass(frozen=True)
 class NewView:
@@ -123,6 +188,21 @@ class NewView:
     membership: tuple[str, ...]
     starting_sequence: int
     ui: UniqueIdentifier
+
+    @staticmethod
+    def encode_content(view: int, membership: tuple[str, ...], starting_sequence: int) -> bytes:
+        """Canonical bytes the announcer's USIG certifies."""
+        return canonical(
+            {
+                "view": view,
+                "membership": membership,
+                "starting_sequence": starting_sequence,
+            }
+        )
+
+    @cached_property
+    def ui_content(self) -> bytes:
+        return self.encode_content(self.view, self.membership, self.starting_sequence)
 
 
 @dataclass(frozen=True)

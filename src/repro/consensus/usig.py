@@ -18,8 +18,9 @@ emulation never touches directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .crypto import KeyPair, KeyRegistry, Signature, digest
+from .crypto import KeyPair, KeyRegistry, Signature, canonical, digest
 
 __all__ = ["UniqueIdentifier", "USIG", "USIGVerifier"]
 
@@ -32,6 +33,16 @@ class UniqueIdentifier:
     counter: int
     message_digest: str
     signature: Signature
+
+    @staticmethod
+    def encode_payload(replica_id: str, counter: int, message_digest: str) -> bytes:
+        """Canonical bytes the USIG signs to certify ``counter``."""
+        return canonical({"replica": replica_id, "counter": counter, "digest": message_digest})
+
+    @cached_property
+    def signed_payload(self) -> bytes:
+        """:meth:`encode_payload` of this UI's own fields."""
+        return self.encode_payload(self.replica_id, self.counter, self.message_digest)
 
 
 class USIG:
@@ -57,20 +68,20 @@ class USIG:
         return self._counter
 
     def create_ui(self, message: object) -> UniqueIdentifier:
-        """Assign the next counter value to ``message`` and certify it."""
+        """Assign the next counter value to ``message`` and certify it.
+
+        ``message`` is any payload :func:`~repro.consensus.crypto.digest`
+        accepts; the protocol passes a message type's canonical content
+        bytes (``encode_content``).
+        """
         self._counter += 1
         message_digest = digest(message)
-        payload = {
-            "replica": self.replica_id,
-            "counter": self._counter,
-            "digest": message_digest,
-        }
-        signature = self._key.sign(payload)
+        payload = UniqueIdentifier.encode_payload(self.replica_id, self._counter, message_digest)
         return UniqueIdentifier(
             replica_id=self.replica_id,
             counter=self._counter,
             message_digest=message_digest,
-            signature=signature,
+            signature=self._key.sign(payload),
         )
 
 
@@ -88,14 +99,14 @@ class USIGVerifier:
         self._last_seen: dict[str, int] = {}
 
     def verify(self, message: object, ui: UniqueIdentifier, enforce_order: bool = True) -> bool:
-        payload = {
-            "replica": ui.replica_id,
-            "counter": ui.counter,
-            "digest": ui.message_digest,
-        }
+        """Check ``ui``'s signature under the current key, then ``message``'s digest.
+
+        Both checks run on every call; only the canonical bytes they read
+        (``ui.signed_payload`` and a message's ``ui_content``) are cached.
+        """
         if ui.signature.signer != f"usig:{ui.replica_id}":
             return False
-        if not self._registry.verify(payload, ui.signature):
+        if not self._registry.verify(ui.signed_payload, ui.signature):
             return False
         if digest(message) != ui.message_digest:
             return False

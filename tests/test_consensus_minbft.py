@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.consensus import (
     ByzantineBehavior,
+    ClientWorkload,
+    Commit,
     MinBFTClient,
     MinBFTCluster,
     MinBFTConfig,
     NetworkConfig,
+    digest,
 )
 from repro.core import check_safety
 
@@ -363,3 +369,87 @@ class TestLeaderEviction:
         new_leader = cluster.current_leader()
         assert new_leader != leader
         assert new_leader in cluster.membership
+
+
+class TestCachedBytesNeverCacheVerdicts:
+    """Caching a message's canonical bytes must not let a tampered message,
+    a garbage UI or a revoked key pass: every receive re-runs the checks."""
+
+    def test_replaced_commit_is_rejected_by_every_receiver(self, cluster, client):
+        request = client._build_request("write", "x", 1)
+        sender = cluster.replicas["replica-1"]
+        content = Commit.encode_content(0, 1, request.digest)
+        commit = Commit(0, 1, request.digest, "replica-1", None, sender.usig.create_ui(content))
+        assert commit.ui_content == content  # cache filled before the copy is made
+        tampered = dataclasses.replace(commit, request_digest="ff" * 32)
+        assert tampered.ui_content != commit.ui_content
+        receivers = [r for r in cluster.replicas.values() if r is not sender]
+        for receiver in receivers:
+            receiver.on_message("replica-1", tampered, 0)
+            assert not any("replica-1" in votes for votes in receiver.commit_votes.values())
+        for receiver in receivers:
+            receiver.on_message("replica-1", commit, 0)
+            assert receiver.commit_votes[(1, request.digest)] == {"replica-1"}
+
+    def test_garbage_prepare_from_arbitrary_leader_is_rejected(self, cluster, client):
+        cluster.compromise("replica-0", ByzantineBehavior.ARBITRARY)
+        leader = cluster.replicas["replica-0"]
+        assert leader.is_leader
+        # A compromised leader does not take the honest request path, so its
+        # corrupted PREPARE is produced directly.
+        leader._send_prepare(client._build_request("write", "x", 1))
+        prepare = leader.prepare_log[1]
+        assert prepare.ui.message_digest != digest(prepare.ui_content)
+        receivers = [r for r in cluster.replicas.values() if r is not leader]
+        for receiver in receivers:
+            receiver.on_message("replica-0", prepare, 0)
+            assert receiver.prepare_log == {}
+        # The same request prepared honestly is accepted by the same receivers.
+        honest = MinBFTCluster(num_replicas=4, seed=0)
+        honest_leader = honest.replicas["replica-0"]
+        honest_leader._handle_request(
+            MinBFTClient("client-0", honest)._build_request("write", "x", 1), tick=0
+        )
+        for receiver_id in ("replica-1", "replica-2", "replica-3"):
+            honest.replicas[receiver_id].on_message("replica-0", honest_leader.prepare_log[1], 0)
+            assert 1 in honest.replicas[receiver_id].prepare_log
+
+    def test_cached_ui_payload_fails_after_rekeying(self, cluster, client):
+        client.write_and_wait("x", 1)
+        content = Commit.encode_content(0, 99, "00" * 32)
+        ui = cluster.replicas["replica-2"].usig.create_ui(content)
+        verifier = cluster.replicas["replica-0"].verifier
+        assert verifier.verify(content, ui, enforce_order=False)
+        assert "signed_payload" in vars(ui)  # the bytes were cached by that check
+        cluster.recover_replica("replica-2")
+        assert not verifier.verify(content, ui, enforce_order=False)
+        fresh = cluster.replicas["replica-2"].usig.create_ui(content)
+        assert verifier.verify(content, fresh, enforce_order=False)
+
+
+def _json_encodes_per_ui(num_replicas: int, monkeypatch) -> float:
+    """JSON encodes per USIG certificate created in a churn-free run."""
+    calls = 0
+    encode = json.JSONEncoder.encode
+
+    def counting_encode(self, payload):
+        nonlocal calls
+        calls += 1
+        return encode(self, payload)
+
+    cluster = MinBFTCluster(num_replicas=num_replicas, seed=0)
+    workload = ClientWorkload(cluster, num_clients=2, pipeline=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(json.JSONEncoder, "encode", counting_encode)
+        workload.run(total_ticks=150)
+    created = sum(replica.usig.counter for replica in cluster.replicas.values())
+    assert workload.completed_requests > 20
+    assert created > 0 and calls > 0
+    return calls / created
+
+
+def test_json_encodes_per_ui_do_not_grow_with_replicas(monkeypatch):
+    """Each message is serialized once, not once per receiving replica."""
+    small = _json_encodes_per_ui(4, monkeypatch)
+    large = _json_encodes_per_ui(10, monkeypatch)
+    assert large <= small, (small, large)

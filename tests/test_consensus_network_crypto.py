@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consensus import (
+    Checkpoint,
     ClientRequest,
+    Commit,
+    KeyPair,
     KeyRegistry,
     KeyValueStateMachine,
     NetworkConfig,
+    NewView,
+    Prepare,
+    Signature,
     SimulatedNetwork,
+    UniqueIdentifier,
     USIG,
     USIGVerifier,
+    ViewChange,
     digest,
 )
 
@@ -403,3 +417,119 @@ class TestUSIGRekeying:
         fresh = USIG("replica-0", registry, fresh_key=True)
         assert fresh.counter == 0
         assert fresh.create_ui("m").counter == 1
+
+
+# -- canonical bytes -----------------------------------------------------------------------
+def _reference_bytes(payload: object) -> bytes:
+    """The canonical serialization every signer and verifier must agree on."""
+    return json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and infinities included
+    st.text(),  # non-ASCII included
+)
+_values = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+_requests = st.builds(
+    ClientRequest,
+    client_id=st.text(),
+    request_id=st.integers(),
+    operation=st.sampled_from(["read", "write"]) | st.text(),
+    key=st.text(),
+    value=_values,
+)
+_uis = st.builds(
+    UniqueIdentifier,
+    replica_id=st.text(),
+    counter=st.integers(),
+    message_digest=st.text(),
+    signature=st.builds(Signature, signer=st.text(), tag=st.text()),
+)
+
+
+class TestCanonicalBytes:
+    """The cached bytes of every message are today's ``json.dumps`` bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(request=_requests, secret=st.binary(min_size=1, max_size=64))
+    def test_client_request_bytes_digest_and_tag(self, request, secret):
+        reference = _reference_bytes(request.payload())
+        assert request.signed_payload == reference
+        assert request.digest == hashlib.sha256(reference).hexdigest()
+        assert request.digest == digest(request.payload())
+        key = KeyPair("client", secret=secret)
+        tag = hmac.new(secret, reference, hashlib.sha256).hexdigest()
+        assert key.sign(request.signed_payload).tag == tag
+        assert key.sign(request.payload()).tag == tag
+        assert key.verify(request.payload(), Signature("client", tag))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ui=_uis)
+    def test_unique_identifier_signed_payload(self, ui):
+        assert ui.signed_payload == _reference_bytes(
+            {"replica": ui.replica_id, "counter": ui.counter, "digest": ui.message_digest}
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        request=_requests,
+        ui=_uis,
+        view=st.integers(),
+        sequence=st.integers(),
+        text=st.text(),
+        membership=st.lists(st.text(), max_size=5).map(tuple),
+    )
+    def test_ui_content_of_every_certified_message(
+        self, request, ui, view, sequence, text, membership
+    ):
+        cases = [
+            (
+                Prepare(view, sequence, request, text, ui),
+                {"view": view, "sequence": sequence, "request": request.digest},
+            ),
+            (
+                Commit(view, sequence, text, text, ui, ui),
+                {"view": view, "sequence": sequence, "digest": text},
+            ),
+            (Checkpoint(sequence, text, text, ui), {"sequence": sequence, "digest": text}),
+            (
+                ViewChange(view, sequence, text, text, ui),
+                {"new_view": view, "last_executed": sequence, "checkpoint": text},
+            ),
+            (
+                NewView(view, text, membership, sequence, ui),
+                {"view": view, "membership": membership, "starting_sequence": sequence},
+            ),
+        ]
+        for message, content in cases:
+            reference = _reference_bytes(content)
+            assert message.ui_content == reference, type(message).__name__
+            assert digest(message.ui_content) == hashlib.sha256(reference).hexdigest()
+            assert digest(message.ui_content) == digest(content)
+
+    def test_commit_known_answer_digest(self):
+        request = ClientRequest("client-0", 7, "write", "x", 11)
+        assert request.digest == (
+            "5bd13856bf5d3e72fd1a42ac2e94d0e8ef1f5a10bde11fb877f36fd9231f5cb1"
+        )
+        registry = KeyRegistry()
+        ui = USIG("replica-1", registry).create_ui(Commit.encode_content(3, 42, request.digest))
+        commit = Commit(3, 42, request.digest, "replica-1", ui, ui)
+        assert digest(commit.ui_content) == (
+            "fedaca80f9684542f25601bff1c1fa8ccc40877f331d47c7c86532581d41ad2a"
+        )
+        assert ui.message_digest == digest(commit.ui_content)
+
+    def test_bytes_pass_through_canonicalization(self):
+        payload = {"b": [1, 2.5, "\u00e9"], "a": None}
+        assert digest(_reference_bytes(payload)) == digest(payload)
+        key = KeyPair("k")
+        assert key.sign(_reference_bytes(payload)) == key.sign(payload)

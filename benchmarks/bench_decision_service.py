@@ -1,4 +1,4 @@
-"""Decision-service soak: sustained decisions/sec, p99 tick latency, parity.
+"""Decision-service soak: sustained decisions/sec, steady tick latency, parity.
 
 The paper's TOLERANCE architecture is an *online* control plane: its
 controllers continuously ingest alerts from a live fleet and emit
@@ -8,16 +8,22 @@ once, every fleet ticking every step — and measures what the service
 sustains end to end:
 
 * **decisions/sec** — node-level decisions delivered per wall-clock
-  second across all connected fleets (fleets x episodes x nodes x ticks);
-* **p99 tick latency** — the 99th percentile of the wall-clock time to
-  advance *every* connected fleet by one tick, the number an operator
-  would put an SLO on;
+  second of steady ticks across all connected fleets (fleets x episodes
+  x nodes x ticks);
+* **tick latency** — the wall-clock time to advance *every* connected
+  fleet by one tick.  The first tick seals each cohort (it draws and
+  fuses every session's uniform buffer and builds the control loops), so
+  it is reported on its own line; the steady ticks after it are reported
+  as p50 and max.  With ``HORIZON - 1`` steady samples per mode a p99
+  would be the second-largest sample, so none is reported;
 * **batching speedup** — the cross-fleet fused dispatch
-  (``DecisionService(coalesce=True)``: one engine call per tick for the
-  whole cohort) against the per-fleet serial baseline
-  (``coalesce=False``: one engine call per fleet per tick).  Fused must
-  be **strictly faster** — that is the reason the cohort machinery
-  exists, and this module asserts it;
+  (``DecisionService(coalesce=True)``: one engine call and one control
+  loop per tick for the whole cohort, since every fleet shares one
+  control configuration) against the per-fleet serial baseline
+  (``coalesce=False``: one engine call and one control loop per fleet per
+  tick).  Over the steady ticks fused must be **at least 3x faster** —
+  that is the reason the cohort machinery exists, and this module
+  asserts it;
 * **bit-parity under load** — both dispatch modes must replay a direct
   ``TwoLevelController.run`` on the same seed tree field for field
   (spot-checked per fleet here; exhaustively pinned in
@@ -117,7 +123,6 @@ def _assert_bit_exact(ours, theirs, context: str) -> None:
 def test_decision_service_soak(table_printer):
     scenario = _scenario()
     node_streams = NUM_FLEETS * EPISODES_PER_FLEET * NODES_PER_FLEET
-    decisions = node_streams * HORIZON
 
     fused_results, fused_ticks, fused_calls = _soak(scenario, coalesce=True)
     serial_results, serial_ticks, serial_calls = _soak(scenario, coalesce=False)
@@ -138,35 +143,39 @@ def test_decision_service_soak(table_printer):
         direct = _controller(scenario).run(seed=fleet)
         _assert_bit_exact(result, direct, f"fleet {fleet} vs direct run")
 
-    fused_total = float(fused_ticks.sum())
-    serial_total = float(serial_ticks.sum())
+    # The first tick seals the cohort(s); the rest are steady ticks.
+    fused_steady, serial_steady = fused_ticks[1:], serial_ticks[1:]
+    decisions = node_streams * (HORIZON - 1)
     rows = []
-    for mode, ticks, total in (
-        ("fused", fused_ticks, fused_total),
-        ("serial", serial_ticks, serial_total),
-    ):
+    for mode, ticks in (("fused", fused_ticks), ("serial", serial_ticks)):
+        steady = ticks[1:]
         rows.append(
             [
-                mode,
-                f"{NUM_FLEETS}x{EPISODES_PER_FLEET}x{NODES_PER_FLEET}",
-                node_streams,
-                f"{decisions / total:,.0f}",
-                f"{1e3 * float(np.percentile(ticks, 99)):.2f}",
-                f"{1e3 * float(np.median(ticks)):.2f}",
-                f"{total:.2f}",
+                f"{mode} steady",
+                steady.size,
+                f"{decisions / steady.sum():,.0f}",
+                f"{1e3 * float(np.median(steady)):.2f}",
+                f"{1e3 * float(steady.max()):.2f}",
+                f"{steady.sum():.2f}",
             ]
         )
-    rows.append(["speedup", "", "", f"{serial_total / fused_total:.2f}x", "", "", ""])
+        rows.append(
+            [f"{mode} seal", 1, "", f"{1e3 * ticks[0]:.2f}", "", f"{ticks[0]:.2f}"]
+        )
+    speedup = float(serial_steady.sum() / fused_steady.sum())
+    rows.append(["speedup (steady)", "", f"{speedup:.2f}x", "", "", ""])
     table_printer(
-        f"Decision-service soak ({'10^5' if SOAK else '10^4'} node streams, "
-        f"horizon {HORIZON})",
-        ["mode", "fleets", "streams", "decisions/s", "p99 tick ms", "p50 tick ms", "s"],
+        f"Decision-service soak ({'10^5' if SOAK else '10^4'} node streams: "
+        f"{NUM_FLEETS}x{EPISODES_PER_FLEET}x{NODES_PER_FLEET}, horizon {HORIZON})",
+        ["mode", "ticks", "decisions/s", "p50 tick ms", "max tick ms", "s"],
         rows,
     )
 
-    # The point of cross-fleet batching: strictly faster than dispatching
-    # each fleet's kernel call on its own.
-    assert fused_total < serial_total, (
-        f"fused dispatch ({fused_total:.2f}s) not faster than per-fleet "
-        f"serial dispatch ({serial_total:.2f}s)"
+    # The point of cross-fleet batching: one engine call and one control
+    # loop per tick must beat dispatching every fleet on its own by 3x.
+    assert speedup >= 3.0, (
+        f"fused dispatch is only {speedup:.2f}x faster than per-fleet serial "
+        f"dispatch over {HORIZON - 1} steady ticks "
+        f"({fused_steady.sum():.2f}s vs {serial_steady.sum():.2f}s); "
+        "the target is >= 3x"
     )

@@ -280,16 +280,22 @@ class TwoLevelLoop:
     between engine steps — the active-slot mask, the metric accumulators,
     the per-episode :class:`VectorSystemController` and the optional
     decision/system traces — but **not** the engine state, which its driver
-    advances between :meth:`pre_step` and :meth:`post_step`:
+    advances between :meth:`pre_step` and :meth:`post_step`.  Its batch
+    size is its system controller's ``num_episodes``, which need not be
+    the controller's own ``num_envs``:
 
     * :meth:`TwoLevelController.run` drives the loop to the horizon with
       its own :class:`~repro.envs.VectorRecoveryEnv` (one fleet batch per
       engine call);
     * the decision service (:mod:`repro.serve`) drives one loop per
-      connected fleet around a **shared** engine step, fusing the belief
-      updates of every session in a cohort into a single kernel call.
+      *control group* — the cohort sessions that share a control
+      configuration — over the members' concatenated episode rows, around
+      one engine step shared by the whole cohort.
 
-    Both drivers execute the identical per-tick arithmetic, which is what
+    Every per-tick control operation is row-independent (the policy's
+    recover mask, the ``k``-recovery grants, the CMDP state, the slot
+    activations and the per-episode uniform buffer of the system level),
+    so both drivers execute the identical per-row arithmetic.  That is what
     makes service decisions bit-identical to a direct
     :meth:`TwoLevelController.run` on the same ``SeedSequence`` tree
     (asserted in ``tests/test_decision_service.py``).
@@ -313,7 +319,7 @@ class TwoLevelLoop:
         self.controller = controller
         self.system = system
         self.policy_rng = policy_rng
-        batch, slots = controller.num_envs, controller.smax
+        batch, slots = system.num_episodes, controller.smax
         self.t = 0
         self.active = np.zeros((batch, slots), dtype=bool)
         self.active[:, : controller.initial_nodes] = True
@@ -454,7 +460,7 @@ class TwoLevelLoop:
             self.trace.add_classes.append(
                 decision.add_class
                 if decision.add_class is not None
-                else np.full(controller.num_envs, -1, dtype=np.int64)
+                else np.full(active.shape[0], -1, dtype=np.int64)
             )
         if self._record:
             self._states_t.append(decision.state)
@@ -738,6 +744,7 @@ class TwoLevelController:
         seed: int | None = None,
         policy_rng: np.random.Generator | None = None,
         system_seed_sequences: Sequence[np.random.SeedSequence] | None = None,
+        num_envs: int | None = None,
     ) -> TwoLevelLoop:
         """Create the incremental per-tick executor of this controller's loop.
 
@@ -746,7 +753,10 @@ class TwoLevelController:
         one tick at a time around a fused engine step shared with other
         sessions.  The system-controller seed sequences follow the same
         convention as :meth:`run` (tail children of the shared episode seed
-        tree unless given explicitly).
+        tree unless given explicitly).  ``num_envs`` sizes the loop's batch
+        (default: this controller's ``num_envs``); the service passes the
+        row count of several sessions that share this control
+        configuration, together with their concatenated seed-sequence tails.
         """
         system = VectorSystemController(
             f=self.f,
@@ -754,7 +764,7 @@ class TwoLevelController:
             strategy=self.replication_strategy,
             smax=self.smax,
             enforce_invariant=self.enforce_invariant,
-            num_episodes=self.num_envs,
+            num_episodes=self.num_envs if num_envs is None else num_envs,
             horizon=self.horizon,
             seed_sequences=(
                 system_seed_sequences

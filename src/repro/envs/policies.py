@@ -73,6 +73,20 @@ class StrategyPolicy:
         """
         return cls([factory(f"slot-{j}") for j in range(num_nodes)])
 
+    def _key(self) -> tuple:
+        per_node = None if self._per_node is None else tuple(self._per_node)
+        return (self._shared, per_node)
+
+    def __eq__(self, other: object) -> bool:
+        """Policies wrapping equal strategies are equal (the decision
+        service fuses sessions with equal policies into one control loop)."""
+        if not isinstance(other, StrategyPolicy):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def _strategy_for(self, node: int) -> BatchStrategy:
         if self._per_node is not None:
             if node >= len(self._per_node):

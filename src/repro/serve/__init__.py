@@ -10,8 +10,10 @@ instead of a one-shot ``run()``:
 * :class:`DecisionService` — the in-process API: sessions register a fleet
   (a built controller or a ``repro/scenario-v1`` document), stream ticks
   and read back per-tick recovery/replication decisions, with the belief
-  updates of compatible fleets **fused into single batched kernel calls**
-  and LP replication solves served from the thread-safe
+  updates of compatible fleets **fused into single batched kernel calls**,
+  the control decisions of fleets sharing a control configuration fused
+  into one control loop, and LP replication solves served from the
+  thread-safe
   :data:`~repro.control.policy_cache.DEFAULT_POLICY_CACHE`;
 * :mod:`~repro.serve.protocol` — the versioned ``repro/decision-v1``
   newline-delimited-JSON schema (requests, decision events, named
@@ -24,9 +26,9 @@ instead of a one-shot ``run()``:
 Service decisions are bit-identical to a direct
 ``TwoLevelController.run`` on the same ``SeedSequence`` tree — a fused
 cohort concatenates each session's own uniform buffer along the episode
-axis, and engine episode rows are mutually independent (asserted in
-``tests/test_decision_service.py``; see ``docs/serving.md`` for the
-batching and seeding contract).
+axis, and engine episode rows and control rows are mutually independent
+(asserted in ``tests/test_decision_service.py``; see ``docs/serving.md``
+for the batching and seeding contract).
 """
 
 from __future__ import annotations

@@ -23,11 +23,18 @@ separately — which in turn is exactly what a direct
 ``TwoLevelController.run(seed=seed_i)`` executes.  The parity is asserted,
 not assumed, in ``tests/test_decision_service.py``.
 
-Each session keeps its *own* :class:`~repro.control.TwoLevelLoop` (its own
-recovery policy, replication strategy and per-episode system-controller
-seed streams from the tail of ``SeedSequence(seed_i)``): fusion happens at
-the engine level only, so heterogeneous control policies coexist in one
-cohort as long as the fleet dynamics match.
+Control is fused too.  Within a cohort, sessions with the same control
+configuration — equal recovery policy and replication strategy (value-equal
+frozen dataclasses), ``k``, ``initial_nodes``, invariant and recovery-limit
+switches and record flags — form one **control group** that runs ONE
+:class:`~repro.control.TwoLevelLoop` over the members' concatenated episode
+rows, with the members' per-episode system-controller seed streams (the
+tails of each ``SeedSequence(seed_i)``) concatenated in the same order.  A
+tick is therefore one engine call plus one ``pre_step``/``post_step`` per
+group, not per session.  Every control operation is row-independent, so
+each session's row slice still replays its direct run bit for bit.
+Heterogeneous policies coexist in one cohort as separate groups; a policy
+that cannot be hashed is keyed by object identity.
 
 A tick request from *any* session advances its whole cohort one fused
 step; the other sessions' events are buffered and delivered when they ask.
@@ -53,6 +60,7 @@ import numpy as np
 
 from ..control.policy_cache import DEFAULT_POLICY_CACHE, PolicySolveCache
 from ..control.two_level import TwoLevelController, TwoLevelLoop, TwoLevelResult, TwoLevelStepEvent
+from ..control.vector_system import VectorSystemDecision
 from ..envs.base import VectorObservation
 from ..sim import BatchRecoveryEngine, FleetScenario
 from ..sim.scenario_io import (
@@ -205,40 +213,118 @@ def _solve_lp_replication(
     return solution.strategy
 
 
+def _control_key(controller: TwoLevelController) -> tuple:
+    """Hashable control configuration; equal keys share one control loop.
+
+    Parts that cannot be hashed (e.g. a table-valued strategy) are keyed by
+    object identity, so only sessions holding the very same object share
+    their loop.
+    """
+    key = []
+    for part in (
+        controller.recovery_policy,
+        controller.replication_strategy,
+        controller.k,
+        controller.initial_nodes,
+        controller.enforce_invariant,
+        controller.respect_recovery_limit,
+        controller.record_system_trace,
+        controller.record_decisions,
+    ):
+        try:
+            hash(part)
+        except TypeError:
+            part = ("id", id(part))
+        key.append(part)
+    return tuple(key)
+
+
+def _rows(record, lo: int, hi: int):
+    """Rows ``[lo, hi)`` of a frozen group record, for one member session.
+
+    Slices every array field, every per-class dict of arrays and the nested
+    :class:`VectorSystemDecision`; scalars and the profile pass through.
+    """
+    fields = {}
+    for name, value in vars(record).items():
+        if isinstance(value, np.ndarray):
+            value = value[lo:hi]
+        elif isinstance(value, dict):
+            value = {label: array[lo:hi] for label, array in value.items()}
+        elif isinstance(value, VectorSystemDecision):
+            value = _rows(value, lo, hi)
+        fields[name] = value
+    return type(record)(**fields)
+
+
 class _Session:
-    """One registered fleet: its loop, its episode slice, its event buffer."""
+    """One registered fleet: its rows ``[lo, hi)`` of its control group."""
 
     def __init__(
-        self,
-        session_id: str,
-        controller: TwoLevelController,
-        loop: TwoLevelLoop,
-        seed: int | None,
+        self, session_id: str, controller: TwoLevelController, seed: int | None
     ) -> None:
         self.id = session_id
         self.controller = controller
-        self.loop = loop
         self.seed = seed
+        self.group: "_ControlGroup | None" = None
         self.lo = 0
         self.hi = 0
-        #: Events produced by cohort advances this session has not consumed.
+        #: Ticks delivered to the client so far.
+        self.ticks = 0
+        #: Group events produced by cohort advances this session has not
+        #: consumed (sliced to the session's rows on delivery).
         self.events: list[TwoLevelStepEvent] = []
         self.closed = False
         self.cohort: "_Cohort | None" = None
 
 
+class _ControlGroup:
+    """Cohort sessions sharing one control configuration and ONE loop.
+
+    Members occupy the contiguous cohort rows ``[lo, hi)``, in registration
+    order; the loop is built at seal over exactly those rows.
+    """
+
+    def __init__(self) -> None:
+        self.sessions: list[_Session] = []
+        self.lo = 0
+        self.hi = 0
+        self.loop: TwoLevelLoop | None = None
+
+    def begin(self, lo: int) -> int:
+        """Place the members from cohort row ``lo``; returns the next row."""
+        rows = 0
+        tails = []
+        for session in self.sessions:
+            session.lo, session.hi = rows, rows + session.controller.num_envs
+            rows = session.hi
+            tails.append(session.controller._system_seed_sequences(session.seed))
+        self.lo, self.hi = lo, lo + rows
+        # Equal replication strategies agree on whether they draw; the
+        # deterministic ones take no seed streams at all.
+        self.loop = self.sessions[0].controller.begin_loop(
+            system_seed_sequences=(
+                None if tails[0] is None else [c for tail in tails for c in tail]
+            ),
+            num_envs=rows,
+        )
+        return self.hi
+
+
 class _Cohort:
     """Sessions fused into one engine state; sealed at the first tick.
 
-    The cohort owns the fused :class:`BatchEpisodeState`; each member
-    session owns a contiguous episode slice ``[lo, hi)`` of it.  One
-    :meth:`advance` call executes one fused engine step for every member.
+    The cohort owns the fused :class:`BatchEpisodeState`; each control
+    group owns a contiguous episode slice ``[lo, hi)`` of it.  One
+    :meth:`advance` call executes one fused engine step for every member
+    and one control step per group.
     """
 
     def __init__(self, engine: BatchRecoveryEngine, profile: bool) -> None:
         self.engine = engine
         self.profile = profile
-        self.sessions: list[_Session] = []
+        self.groups: dict[tuple, _ControlGroup] = {}
+        self.num_episodes = 0
         self.sim = None
         self._forced: np.ndarray | None = None
 
@@ -246,39 +332,38 @@ class _Cohort:
     def sealed(self) -> bool:
         return self.sim is not None
 
-    @property
-    def num_episodes(self) -> int:
-        return sum(s.controller.num_envs for s in self.sessions)
-
     def add(self, session: _Session) -> None:
         if self.sealed:
             raise RuntimeError("cannot join a sealed cohort")
-        session.lo = self.num_episodes
-        session.hi = session.lo + session.controller.num_envs
+        group = self.groups.setdefault(_control_key(session.controller), _ControlGroup())
+        group.sessions.append(session)
+        session.group = group
         session.cohort = self
-        self.sessions.append(session)
+        self.num_episodes += session.controller.num_envs
 
     def seal(self) -> None:
         """Fuse the members' per-session uniform buffers into one state.
 
-        Session ``i``'s rows ``[lo_i, hi_i)`` of the fused buffers are
-        exactly ``engine.draw_uniforms(seed_i, B_i)`` — the buffer a direct
-        ``TwoLevelController.run(seed=seed_i)`` consumes — so every fused
-        row replays its standalone counterpart bit for bit.
+        Rows are laid out group by group.  Session ``i``'s rows of the
+        fused buffers are exactly ``engine.draw_uniforms(seed_i, B_i)`` —
+        the buffer a direct ``TwoLevelController.run(seed=seed_i)``
+        consumes — so every fused row replays its standalone counterpart
+        bit for bit.
         """
         engine = self.engine
+        row = 0
+        for group in self.groups.values():
+            row = group.begin(row)
+        sessions = [s for group in self.groups.values() for s in group.sessions]
         uniforms = np.concatenate(
-            [
-                engine.draw_uniforms(s.seed, s.controller.num_envs)
-                for s in self.sessions
-            ],
+            [engine.draw_uniforms(s.seed, s.controller.num_envs) for s in sessions],
             axis=0,
         )
         adversary_uniforms = None
         if engine.is_dynamic:
             buffers = [
                 engine.draw_adversary_uniforms(s.seed, s.controller.num_envs)
-                for s in self.sessions
+                for s in sessions
             ]
             if buffers[0] is not None:
                 adversary_uniforms = np.concatenate(buffers, axis=0)
@@ -294,11 +379,12 @@ class _Cohort:
         return self.sealed and self.sim.t >= self.engine.scenario.horizon
 
     def advance(self) -> None:
-        """One fused tick: every member's pre_step, ONE engine step, post_step.
+        """One fused tick: each group's pre_step, ONE engine step, post_step.
 
         Executes the identical per-tick arithmetic as
-        :meth:`TwoLevelController.run` on each session's slice — the belief
-        updates of the whole cohort land in a single fused kernel call.
+        :meth:`TwoLevelController.run` on each session's rows — the belief
+        updates of the whole cohort land in a single fused kernel call and
+        the control decisions of each group in a single loop call.
         """
         if not self.sealed:
             self.seal()
@@ -307,42 +393,44 @@ class _Cohort:
         sim, engine = self.sim, self.engine
         forced = self._forced
         masks = np.empty_like(forced)
-        for session in self.sessions:
-            lo, hi = session.lo, session.hi
+        for group in self.groups.values():
+            lo, hi = group.lo, group.hi
             observation = VectorObservation(
                 beliefs=sim.belief[lo:hi],
                 time_since_recovery=sim.time_since_recovery[lo:hi],
                 forced=forced[lo:hi],
-                active=session.loop.active,
+                active=group.loop.active,
             )
-            masks[lo:hi] = session.loop.pre_step(observation)
+            masks[lo:hi] = group.loop.pre_step(observation)
         costs = engine.step(sim, masks | forced, btr_applied=True)
         self._forced = engine.forced_recoveries(sim)
-        for session in self.sessions:
-            lo, hi = session.lo, session.hi
+        for group in self.groups.values():
+            lo, hi = group.lo, group.hi
             observation = VectorObservation(
                 beliefs=sim.belief[lo:hi],
                 time_since_recovery=sim.time_since_recovery[lo:hi],
                 forced=self._forced[lo:hi],
-                active=session.loop.active,
+                active=group.loop.active,
             )
             info = {
                 "t": sim.t,
                 "crashed": sim.last_crashed[lo:hi],
                 "failed_mask": sim.last_failed_mask[lo:hi],
             }
-            event = session.loop.post_step(observation, costs[lo:hi], info)
-            if not session.closed:
-                session.events.append(event)
+            event = group.loop.post_step(observation, costs[lo:hi], info)
+            for session in group.sessions:
+                if not session.closed:
+                    session.events.append(event)
 
 
 class DecisionService:
     """Long-running decision service over fused two-level control loops.
 
     Args:
-        coalesce: Fuse compatible sessions into shared engine batches (the
-            default).  ``False`` gives every session its own cohort — the
-            per-fleet serial dispatch the soak benchmark compares against.
+        coalesce: Fuse compatible sessions into shared engine batches and
+            shared control loops (the default).  ``False`` gives every
+            session its own cohort — the per-fleet serial dispatch the soak
+            benchmark compares against.
         policy_cache: Cache serving the LP replication solves; defaults to
             the process-wide thread-safe
             :data:`~repro.control.policy_cache.DEFAULT_POLICY_CACHE`.
@@ -400,12 +488,7 @@ class DecisionService:
                 seed = resolve_adversary_entropy(None)
             key = self._scenario_key(controller.scenario, engine.backend)
             self._engines.setdefault(key, engine)
-            session = _Session(
-                session_id=f"s{next(self._ids)}",
-                controller=controller,
-                loop=controller.begin_loop(seed=seed),
-                seed=seed,
-            )
+            session = _Session(f"s{next(self._ids)}", controller, seed)
             cohort = self._open_cohorts.get(key) if self.coalesce else None
             if cohort is None or cohort.sealed:
                 cohort = _Cohort(self._engines[key], self.profile)
@@ -469,50 +552,55 @@ class DecisionService:
 
         A session that is behind its cohort first drains buffered events;
         beyond that, each tick advances the whole cohort by one fused
-        engine step (buffering the other members' events).
+        engine step (buffering the other members' events).  A request
+        reaching past the horizon raises ``session-done`` and delivers
+        nothing, so no decision is lost.
         """
         if count < 1:
             raise ServiceError("bad-request", f"count must be >= 1, got {count}")
         with self._lock:
             session = self._get(session_id)
+            horizon = session.controller.horizon
+            if session.ticks + count > horizon:
+                raise ServiceError(
+                    "session-done",
+                    f"session {session_id!r} is at tick {session.ticks} of "
+                    f"{horizon}; {count} more tick(s) would pass its horizon",
+                )
             cohort = session.cohort
-            delivered: list[TwoLevelStepEvent] = []
-            for _ in range(count):
-                if not session.events:
-                    if session.loop.done:
-                        raise ServiceError(
-                            "session-done",
-                            f"session {session_id!r} reached its horizon "
-                            f"({session.controller.horizon} ticks)",
-                        )
-                    cohort.advance()
-                    self.engine_calls += 1
-                    self.node_decisions += (
-                        cohort.num_episodes * cohort.engine.scenario.num_nodes
-                    )
-                delivered.append(session.events.pop(0))
-            self.ticks_served += len(delivered)
-            return delivered
+            while len(session.events) < count:
+                cohort.advance()
+                self.engine_calls += 1
+                self.node_decisions += (
+                    cohort.num_episodes * cohort.engine.scenario.num_nodes
+                )
+            events, session.events = session.events[:count], session.events[count:]
+            session.ticks += count
+            self.ticks_served += count
+            return [_rows(event, session.lo, session.hi) for event in events]
 
     # -- results ------------------------------------------------------------------
     def result(self, session_id: str) -> TwoLevelResult:
         """The finished session's :class:`~repro.control.TwoLevelResult`.
 
-        Identical to ``controller.run(seed=seed)`` on the session's seed;
-        carries the cohort's shared engine profile when the service was
-        built with ``profile=True``.
+        Identical to ``controller.run(seed=seed)`` on the session's seed
+        (the session's rows of its control group's result); carries the
+        cohort's shared engine profile when the service was built with
+        ``profile=True``.
         """
         with self._lock:
             session = self._get(session_id)
-            if not session.loop.done:
+            cohort = session.cohort
+            if not cohort.done:
                 raise ServiceError(
                     "session-not-done",
-                    f"session {session_id!r} is at tick {session.loop.t} of "
+                    f"session {session_id!r} is at tick {session.ticks} of "
                     f"{session.controller.horizon}; tick it to the horizon "
                     "before requesting the result",
                 )
-            profile = session.cohort.sim.profile if self.profile else None
-            return session.loop.result(profile=profile)
+            profile = cohort.sim.profile if self.profile else None
+            result = session.group.loop.result(profile=profile)
+            return _rows(result, session.lo, session.hi)
 
     def close(self, session_id: str) -> None:
         """Detach a session.
@@ -533,6 +621,7 @@ class DecisionService:
             return {
                 "sessions": len(self._sessions),
                 "cohorts": len(self._cohorts),
+                "control_loops": sum(len(c.groups) for c in self._cohorts),
                 "coalesce": self.coalesce,
                 "engine_calls": self.engine_calls,
                 "ticks_served": self.ticks_served,

@@ -7,13 +7,16 @@ The serving contract (:mod:`repro.serve`) this suite pins down:
   ``SeedSequence`` tree, with the fleets fused into shared engine batches
   (asserted field for field, event for event — not statistically);
 * **fusing semantics** — one fused engine call per tick regardless of how
-  many compatible sessions are connected; ``coalesce=False`` (the
+  many compatible sessions are connected, and one control loop
+  (``pre_step``/``post_step``) per distinct control configuration, whose
+  row slices replay every member's direct run; ``coalesce=False`` (the
   benchmark's serial-dispatch baseline) dispatches per fleet and stays
   bit-identical too; sessions registering after the first tick open a new
   cohort; closed sessions ghost-step inside a sealed cohort without
   perturbing the others;
 * **decision-v1 protocol** — request validation, named error responses
-  (never tracebacks), sparse event encoding;
+  (never tracebacks, and a failed ``tick`` consumes no decision), sparse
+  event encoding;
 * **socket path** — register/tick/result/close/stats/shutdown over NDJSON
   through :class:`ServiceClient` against a live :class:`DecisionServer`,
   including the ``python -m repro serve`` subcommand end to end.
@@ -21,6 +24,7 @@ The serving contract (:mod:`repro.serve`) this suite pins down:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -29,11 +33,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro.control import TwoLevelController
+from repro.control import TwoLevelController, TwoLevelLoop
+from repro.control.vector_system import VectorSystemDecision
 from repro.core import (
     BetaBinomialObservationModel,
+    ClassPreferenceReplicationStrategy,
+    MixedReplicationStrategy,
     NodeParameters,
     ReplicationThresholdStrategy,
+    TabularReplicationStrategy,
     ThresholdStrategy,
 )
 from repro.serve import (
@@ -92,12 +100,15 @@ def _mixed_scenario(horizon=18):
     return FleetScenario.mixed(classes, horizon=horizon, f=1)
 
 
-def _controller(scenario, num_envs, beta=1, threshold=0.75):
+def _controller(scenario, num_envs, beta=1, threshold=0.75, replication=None, **options):
     return TwoLevelController(
         scenario,
         num_envs=num_envs,
         recovery_policy=ThresholdStrategy(threshold),
-        replication_strategy=ReplicationThresholdStrategy(beta),
+        replication_strategy=(
+            ReplicationThresholdStrategy(beta) if replication is None else replication
+        ),
+        **options,
     )
 
 
@@ -120,18 +131,34 @@ def _assert_events_equal(service_events, direct_events):
         np.testing.assert_array_equal(ours.activated, theirs.activated)
         np.testing.assert_array_equal(ours.active, theirs.active)
         np.testing.assert_array_equal(ours.available, theirs.available)
-        np.testing.assert_array_equal(ours.decision.state, theirs.decision.state)
-        np.testing.assert_array_equal(ours.decision.add_node, theirs.decision.add_node)
-        np.testing.assert_array_equal(
-            ours.decision.emergency_add, theirs.decision.emergency_add
-        )
+        # Every decision array, the optional class-aware ones included.
+        for field in dataclasses.fields(VectorSystemDecision):
+            mine, direct = (getattr(e.decision, field.name) for e in (ours, theirs))
+            assert (mine is None) == (direct is None), field.name
+            if direct is not None:
+                assert mine.shape == direct.shape, field.name
+                np.testing.assert_array_equal(mine, direct, err_msg=field.name)
 
 
-def _direct_run(scenario, num_envs, seed, beta=1, threshold=0.75):
+def _direct_run(scenario, num_envs, seed, **control):
     events = []
-    controller = _controller(scenario, num_envs, beta=beta, threshold=threshold)
+    controller = _controller(scenario, num_envs, **control)
     result = controller.run(seed=seed, on_step=events.append)
     return result, events
+
+
+@pytest.fixture()
+def pre_step_calls(monkeypatch):
+    """Counts ``TwoLevelLoop.pre_step`` calls (one per control loop per tick)."""
+    calls = []
+    original = TwoLevelLoop.pre_step
+
+    def counting(self, observation):
+        calls.append(self)
+        return original(self, observation)
+
+    monkeypatch.setattr(TwoLevelLoop, "pre_step", counting)
+    return calls
 
 
 class TestFusedParity:
@@ -147,9 +174,11 @@ class TestFusedParity:
         events = {sessions[0]: service.tick(sessions[0], count=scenario.horizon)}
         for sid in sessions[1:]:
             events[sid] = service.tick(sid, count=scenario.horizon)
-        # ONE fused engine call per tick for the whole cohort.
+        # ONE fused engine call per tick for the whole cohort, and one
+        # control loop per distinct configuration (beta 1 and beta 2).
         assert service.engine_calls == scenario.horizon
         assert service.stats()["cohorts"] == 1
+        assert service.stats()["control_loops"] == 2
         for sid, (b, seed, beta) in zip(sessions, specs):
             direct_result, direct_events = _direct_run(scenario, b, seed, beta=beta)
             _assert_events_equal(events[sid], direct_events)
@@ -165,6 +194,7 @@ class TestFusedParity:
         # Per-fleet dispatch: one engine call per tick per session.
         assert service.engine_calls == 2 * scenario.horizon
         assert service.stats()["cohorts"] == 2
+        assert service.stats()["control_loops"] == 2
         for sid, seed in ((s1, 5), (s2, 6)):
             direct_result, _ = _direct_run(scenario, 3, seed)
             _assert_results_equal(service.result(sid), direct_result)
@@ -226,6 +256,154 @@ class TestFusedParity:
         with pytest.raises(ServiceError) as excinfo:
             service.tick(s1)
         assert excinfo.value.name == "unknown-session"
+
+
+class TestControlGroups:
+    """One ``TwoLevelLoop`` per distinct control configuration per cohort."""
+
+    def test_heterogeneous_cohort_runs_one_pre_step_per_configuration(
+        self, pre_step_calls
+    ):
+        scenario = _scenario(horizon=14)
+        # (threshold, beta, k), registered interleaved; (0.6, 1, 1) has a
+        # neighbour differing in each of the three parameters alone (all
+        # sessions start from the same N_1, so k really is the only
+        # difference between (0.6, 1, 1) and (0.6, 1, 2)).
+        configs = [
+            (0.6, 1, 1),
+            (0.75, 2, 1),
+            (0.6, 1, 2),
+            (0.9, 1, 1),
+            (0.75, 2, 1),
+            (0.6, 2, 1),
+            (0.6, 1, 1),
+            (0.6, 1, 2),
+        ]
+        service = DecisionService()
+        sessions = [
+            service.register_controller(
+                _controller(
+                    scenario, 2 + i % 3, beta=beta, threshold=alpha, k=k, initial_nodes=5
+                ),
+                seed=10 + i,
+            )
+            for i, (alpha, beta, k) in enumerate(configs)
+        ]
+        distinct = len(set(configs))
+        assert service.stats()["control_loops"] == distinct
+        events = {sid: service.tick(sid, count=scenario.horizon) for sid in sessions}
+        assert service.engine_calls == scenario.horizon
+        assert len(pre_step_calls) == distinct * scenario.horizon
+        assert len({id(loop) for loop in pre_step_calls}) == distinct
+        for i, (sid, (alpha, beta, k)) in enumerate(zip(sessions, configs)):
+            direct_result, direct_events = _direct_run(
+                scenario,
+                2 + i % 3,
+                10 + i,
+                beta=beta,
+                threshold=alpha,
+                k=k,
+                initial_nodes=5,
+            )
+            _assert_events_equal(events[sid], direct_events)
+            _assert_results_equal(service.result(sid), direct_result)
+
+    def test_mixed_replication_sessions_fuse_and_keep_their_seed_streams(self):
+        scenario = _scenario(horizon=25)
+        mixed = MixedReplicationStrategy(
+            ReplicationThresholdStrategy(1), ReplicationThresholdStrategy(4), 0.5
+        )
+        specs = [(3, 21), (4, 22), (2, 23)]  # (episodes, seed)
+        service = DecisionService()
+        sessions = [
+            service.register_controller(
+                _controller(scenario, b, replication=mixed), seed=seed
+            )
+            for b, seed in specs
+        ]
+        assert service.stats()["control_loops"] == 1
+        for sid, (b, seed) in zip(sessions, specs):
+            events = service.tick(sid, count=scenario.horizon)
+            direct_result, direct_events = _direct_run(
+                scenario, b, seed, replication=mixed
+            )
+            _assert_events_equal(events, direct_events)
+            _assert_results_equal(service.result(sid), direct_result)
+        # The replays are not vacuous: the mixture drew different adds.
+        assert len({service.result(sid).additions.sum() for sid in sessions}) > 1
+
+    def test_class_aware_events_match_on_step_events_field_for_field(self):
+        scenario = _mixed_scenario(horizon=16)
+        strategy = ClassPreferenceReplicationStrategy(
+            base=MixedReplicationStrategy(
+                ReplicationThresholdStrategy(2), ReplicationThresholdStrategy(4), 0.6
+            ),
+            preferred="db",
+            class_names=("web", "db"),
+        )
+        specs = [(3, 5), (2, 6)]
+        service = DecisionService()
+        sessions = [
+            service.register_controller(
+                _controller(scenario, b, replication=strategy), seed=seed
+            )
+            for b, seed in specs
+        ]
+        assert service.stats()["control_loops"] == 1
+        for sid, (b, seed) in zip(sessions, specs):
+            events = service.tick(sid, count=scenario.horizon)
+            direct_result, direct_events = _direct_run(
+                scenario, b, seed, replication=strategy
+            )
+            assert events[0].decision.add_class is not None
+            _assert_events_equal(events, direct_events)
+            _assert_results_equal(service.result(sid), direct_result)
+
+    def test_unhashable_strategies_group_by_identity(self):
+        scenario = _scenario(horizon=15)
+        table = {s: 0.6 if s <= 3 else 0.0 for s in range(7)}
+        shared = TabularReplicationStrategy(dict(table))
+        twin = TabularReplicationStrategy(dict(table))  # equal, but unhashable
+        specs = [(shared, 2, 41), (twin, 3, 42), (shared, 2, 43)]
+        service = DecisionService()
+        sessions = [
+            service.register_controller(
+                _controller(scenario, b, replication=strategy), seed=seed
+            )
+            for strategy, b, seed in specs
+        ]
+        assert service.stats()["control_loops"] == 2
+        for sid, (strategy, b, seed) in zip(sessions, specs):
+            events = service.tick(sid, count=scenario.horizon)
+            direct_result, direct_events = _direct_run(
+                scenario, b, seed, replication=strategy
+            )
+            _assert_events_equal(events, direct_events)
+            _assert_results_equal(service.result(sid), direct_result)
+
+    def test_different_paces_and_a_closed_session_get_correct_events(self):
+        scenario = _scenario(horizon=12)
+        specs = [(3, 31), (2, 32), (4, 33), (1, 34)]  # one shared configuration
+        service = DecisionService()
+        sessions = [
+            service.register_controller(_controller(scenario, b), seed=seed)
+            for b, seed in specs
+        ]
+        events = {sid: [] for sid in sessions}
+        slow, chunky, closing, late = sessions
+        events[closing] += service.tick(closing, count=2)
+        service.close(closing)
+        for t in range(scenario.horizon):
+            events[slow] += service.tick(slow)
+            if t % 3 == 2:
+                events[chunky] += service.tick(chunky, count=3)
+        events[late] += service.tick(late, count=5)
+        events[late] += service.tick(late, count=scenario.horizon - 5)
+        for sid, (b, seed) in zip(sessions, specs):
+            _, direct_events = _direct_run(scenario, b, seed)
+            if sid == closing:
+                direct_events = direct_events[:2]
+            _assert_events_equal(events[sid], direct_events)
 
 
 class TestProfileUnderBatching:
@@ -298,6 +476,20 @@ class TestServiceErrors:
         with pytest.raises(ServiceError) as excinfo:
             service.tick(sid)
         assert excinfo.value.name == "session-done"
+
+    def test_tick_past_horizon_loses_no_decisions(self):
+        scenario = _scenario(horizon=5)
+        service = DecisionService()
+        sid = service.register_controller(_controller(scenario, 2), seed=4)
+        first = service.tick(sid, count=3)
+        with pytest.raises(ServiceError) as excinfo:
+            service.tick(sid, count=4)
+        assert excinfo.value.name == "session-done"
+        # The failed request consumed nothing: ticks 4-5 are still served.
+        rest = service.tick(sid, count=2)
+        _, direct_events = _direct_run(scenario, 2, 4)
+        _assert_events_equal(first + rest, direct_events)
+        assert service.stats()["ticks_served"] == 5
 
     def test_result_before_horizon_is_a_named_error(self):
         scenario = _scenario(horizon=8)
@@ -485,6 +677,7 @@ class TestSocketServer:
             two.tick(b, count=10)
             stats = one.stats()
         assert stats["cohorts"] == 1
+        assert stats["control_loops"] == 1
         assert stats["engine_calls"] == 10
 
     def test_shutdown_request_stops_the_server(self):

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter_ns
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +80,21 @@ _CRASHED = int(NodeState.CRASHED)
 _UNIFORM_CACHE: dict[tuple, np.ndarray] = {}
 _UNIFORM_CACHE_MAX_ENTRIES = 8
 _UNIFORM_CACHE_MAX_ELEMENTS = 8_000_000  # 64 MB of float64 per entry
+
+
+class _SharedStreams(NamedTuple):
+    """An ``(M, N, W)`` uniform buffer read by ``repeat * M`` episodes.
+
+    Episode ``b`` reads buffer row ``b mod M``: ``repeat`` groups of ``M``
+    episodes share the same streams (common random numbers), in the row
+    order ``np.tile(uniforms, (repeat, 1, 1))`` would give, without the
+    copy.  :meth:`BatchRecoveryEngine._simulate` receives the layout in its
+    ``uniforms`` slot because ``perfbench/tracing.py`` wraps that method
+    with a fixed signature to inject its phase profile.
+    """
+
+    uniforms: np.ndarray
+    repeat: int
 
 
 @dataclass(frozen=True)
@@ -168,7 +183,9 @@ class BatchEpisodeState:
     state with a closed-form strategy — both paths are bit-identical.
     """
 
-    uniforms: np.ndarray  #: (B, N, 2 * horizon) pre-generated uniform buffer.
+    #: (M, N, 2 * horizon) pre-generated uniform buffer; episode ``b`` reads
+    #: row ``b mod M`` (``M = B`` unless begun with ``repeat > 1``).
+    uniforms: np.ndarray
     t: int  #: Number of completed steps.
     state: np.ndarray  #: Hidden node states (int64).
     belief: np.ndarray  #: Two-state compromise beliefs.
@@ -199,7 +216,7 @@ class BatchEpisodeState:
     track_metrics: bool = True
     # Per-batch constant caches (derived from the engine's precompiled
     # arrays at begin() time so the hot step loop allocates nothing anew).
-    uniforms_flat: np.ndarray = field(default=None, repr=False)  # (B * N * 2T,) view
+    uniforms_flat: np.ndarray = field(default=None, repr=False)  # (M * N * 2T,) view
     stream_rows: np.ndarray = field(default=None, repr=False)  # (B, N) buffer offsets
     eta_mat: np.ndarray = field(default=None, repr=False)  # (B, N) broadcast view
     initial_belief_mat: np.ndarray = field(default=None, repr=False)  # (B, N) view
@@ -439,14 +456,18 @@ class BatchRecoveryEngine:
         """Estimate ``J(theta)`` for a whole population of threshold vectors.
 
         Evaluates ``K`` candidate threshold vectors with common random
-        numbers (every candidate sees the same ``num_episodes`` episode
-        streams) in one batch of ``K * num_episodes`` episodes.  Requires a
-        single-node scenario.  Row ``k`` of the result equals
+        numbers: every candidate sees the same ``num_episodes`` episode
+        streams.  The run covers ``K * num_episodes`` episodes that all read
+        the one memoized ``(M, 1, 2 * horizon)`` buffer of
+        :meth:`draw_uniforms` (episode ``b`` reads row ``b mod M``), so no
+        per-candidate copy of the streams is made.  Requires a single-node
+        scenario.  Row ``k`` of the result equals
         ``RecoverySimulator.estimate_cost`` for candidate ``k`` exactly.
 
         Args:
             thresholds: Candidate matrix of shape ``(K, d)`` (a ``(d,)``
-                vector is treated as ``K = 1``).
+                vector is treated as ``K = 1``; ``K = 0`` returns an empty
+                array without simulating).
             num_episodes: Episodes per candidate ``M``.
             seed: Seed for the shared episode streams.
 
@@ -459,20 +480,17 @@ class BatchRecoveryEngine:
             raise ValueError("num_episodes must be >= 1")
         thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
         num_candidates = thresholds.shape[0]
+        if num_candidates == 0:
+            return np.empty(0)
+        strategy = BatchMultiThreshold(np.repeat(thresholds, num_episodes, axis=0))
         if self._dynamic and seed is None:
             seed = resolve_adversary_entropy(None)
-        base = self.draw_uniforms(seed, num_episodes)  # (M, 1, 2T)
-        uniforms = np.tile(base, (num_candidates, 1, 1))  # (K*M, 1, 2T)
-        adversary_uniforms = None
-        if self._dynamic:
-            # Common random numbers for the adversary too: every candidate
-            # sees the same attack realisations.
-            adversary_base = self.draw_adversary_uniforms(seed, num_episodes)
-            if adversary_base is not None:
-                adversary_uniforms = np.tile(adversary_base, (num_candidates, 1, 1))
-        strategy = BatchMultiThreshold(np.repeat(thresholds, num_episodes, axis=0))
+        # Common random numbers for the adversary too: every candidate sees
+        # the same attack realisations (None for static adversaries).
         result = self._simulate(
-            [strategy], uniforms, adversary_uniforms=adversary_uniforms
+            [strategy],
+            _SharedStreams(self.draw_uniforms(seed, num_episodes), num_candidates),
+            adversary_uniforms=self.draw_adversary_uniforms(seed, num_episodes),
         )
         costs = result.average_cost.reshape(num_candidates, num_episodes)
         return costs.mean(axis=1)
@@ -497,6 +515,7 @@ class BatchRecoveryEngine:
         uniforms: np.ndarray | None = None,
         profile: bool = False,
         adversary_uniforms: np.ndarray | None = None,
+        repeat: int = 1,
     ) -> BatchEpisodeState:
         """Initialize the per-stream state for ``num_episodes`` episodes.
 
@@ -528,7 +547,14 @@ class BatchRecoveryEngine:
                 just like ``uniforms``).  Required when ``uniforms`` is
                 pre-drawn and the scenario's adversary is dynamic; the
                 seed path draws it from the same seed automatically.
+            repeat: Run ``repeat`` copies of the ``M`` episodes drawn (or
+                given as ``uniforms``), ``repeat * M`` episodes in total:
+                episode ``b`` reads the streams of episode ``b mod M``
+                without copying them, which is how a population of
+                candidates shares common random numbers.
         """
+        if repeat < 1:
+            raise ValueError("repeat must be >= 1")
         if uniforms is not None:
             if num_episodes is not None or seed is not None:
                 raise ValueError("pass either uniforms or (num_episodes, seed), not both")
@@ -546,7 +572,7 @@ class BatchRecoveryEngine:
             uniforms = self.draw_uniforms(seed, num_episodes)
             if self._dynamic and adversary_uniforms is None:
                 adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)
-        sim = self._begin(uniforms, track_metrics, adversary_uniforms)
+        sim = self._begin(uniforms, track_metrics, adversary_uniforms, repeat)
         if profile:
             sim.profile = EngineProfile(backend=self.backend)
         return sim
@@ -556,8 +582,10 @@ class BatchRecoveryEngine:
         uniforms: np.ndarray,
         track_metrics: bool = True,
         adversary_uniforms: np.ndarray | None = None,
+        repeat: int = 1,
     ) -> BatchEpisodeState:
-        num_episodes, num_nodes, _ = uniforms.shape
+        num_rows, num_nodes, stream_width = uniforms.shape
+        num_episodes = num_rows * repeat
         shape = (num_episodes, num_nodes)
         track_availability = self.scenario.f is not None
         adversary_state = None
@@ -573,19 +601,27 @@ class BatchRecoveryEngine:
                 adversary_uniforms = np.asarray(adversary_uniforms, dtype=float)
                 if (
                     adversary_uniforms.ndim != 3
-                    or adversary_uniforms.shape[0] != num_episodes
+                    or adversary_uniforms.shape[0] != num_rows
                     or adversary_uniforms.shape[1] < self.scenario.horizon
                     or adversary_uniforms.shape[2] != width
                 ):
                     raise ValueError(
-                        "adversary_uniforms must have shape (B, horizon, "
-                        f"{width}), got {adversary_uniforms.shape}"
+                        "adversary_uniforms must have shape (M, horizon, "
+                        f"{width}) with M = {num_rows} uniform rows, got "
+                        f"{adversary_uniforms.shape}"
                     )
+                if repeat > 1:
+                    # The per-step adversary slice is read as a whole row
+                    # block, so its (small) buffer is repeated outright.
+                    adversary_uniforms = np.tile(adversary_uniforms, (repeat, 1, 1))
             else:
                 adversary_uniforms = None
             adversary_state = self.adversary.begin(num_episodes, num_nodes)
         else:
             adversary_uniforms = None
+        # Stream (b, j) reads buffer row (b mod M, j).
+        buffer_rows = np.arange(num_episodes, dtype=np.int64) % num_rows
+        node_ids = np.arange(num_nodes, dtype=np.int64)
         return BatchEpisodeState(
             uniforms=uniforms,
             t=0,
@@ -605,10 +641,7 @@ class BatchRecoveryEngine:
             ),
             track_metrics=track_metrics,
             uniforms_flat=uniforms.reshape(-1),
-            stream_rows=(
-                np.arange(num_episodes * num_nodes, dtype=np.int64).reshape(shape)
-                * uniforms.shape[2]
-            ),
+            stream_rows=(buffer_rows[:, None] * num_nodes + node_ids) * stream_width,
             eta_mat=np.broadcast_to(self._eta, shape),
             initial_belief_mat=np.broadcast_to(self._initial_belief, shape),
             btr_deadline_mat=np.broadcast_to(self._btr_deadline, shape),
@@ -871,17 +904,20 @@ class BatchRecoveryEngine:
     def _simulate(
         self,
         strategies: list[BatchStrategy],
-        uniforms: np.ndarray,
+        uniforms: np.ndarray | _SharedStreams,
         profile: EngineProfile | None = None,
         trellis: bool | None = None,
         adversary_uniforms: np.ndarray | None = None,
     ) -> BatchSimulationResult:
+        uniforms, repeat = (
+            uniforms if isinstance(uniforms, _SharedStreams) else (uniforms, 1)
+        )
         if self._dynamic:
             return self._simulate_dynamic(
-                strategies, uniforms, profile, adversary_uniforms
+                strategies, uniforms, profile, adversary_uniforms, repeat
             )
         return self._kernel.simulate(
-            strategies, uniforms, profile=profile, trellis=trellis
+            strategies, uniforms, profile=profile, trellis=trellis, repeat=repeat
         )
 
     def _simulate_dynamic(
@@ -890,6 +926,7 @@ class BatchRecoveryEngine:
         uniforms: np.ndarray,
         profile: EngineProfile | None,
         adversary_uniforms: np.ndarray | None,
+        repeat: int,
     ) -> BatchSimulationResult:
         """Generic step-loop driver for dynamic adversaries.
 
@@ -901,7 +938,7 @@ class BatchRecoveryEngine:
         active kernel's ``update_beliefs`` (the defender's recursion uses
         the nominal model on every backend).
         """
-        sim = self._begin(uniforms, True, adversary_uniforms)
+        sim = self._begin(uniforms, True, adversary_uniforms, repeat)
         if profile is not None:
             sim.profile = profile
         recover = np.empty(sim.state.shape, dtype=bool)

@@ -1,7 +1,10 @@
 """Selectable HMM-forward belief kernels for the batch engine.
 
 Three backends implement the same kernel interface
-(``make_step_workspace`` / ``update_beliefs`` / ``simulate``):
+(``make_step_workspace`` / ``update_beliefs`` / ``simulate``).
+``simulate(..., repeat=K)`` runs ``K * M`` episodes on an ``(M, N, W)``
+uniform buffer, episode ``b`` reading row ``b mod M`` (common random
+numbers shared by reference, not copied):
 
 ``reference``
     The node-by-node NumPy path of PRs 1-6.  Bit-exact against the scalar

@@ -265,11 +265,12 @@ class FusedKernel:
         the observation rank of **every** draw are computed here in a few
         full-buffer vectorized passes; the run loop then turns each phase
         into one integer gather.  Returns a flat ``int64`` view of a
-        *step-major* array of shape ``(width, 2, N, B)`` — transition ranks
-        of within-stream draw ``k`` in row ``(k, 0)``, observation ranks in
-        ``(k, 1)``.  Lock-step streams therefore gather from two contiguous
-        rows per step (sequential, cache-friendly); streams lagging after a
-        crash peek read slightly older, still-resident rows.  Entries are
+        *step-major* array of shape ``(width, 2, N, M)`` for an ``(M, N,
+        width)`` buffer — transition ranks of within-stream draw ``k`` in
+        row ``(k, 0)``, observation ranks in ``(k, 1)``.  Lock-step streams
+        therefore gather from two contiguous rows per step (sequential,
+        cache-friendly); streams lagging after a crash peek read slightly
+        older, still-resident rows.  Entries are
         keyed by buffer identity (the buffer is pinned by the cache entry,
         so the address cannot be recycled while the key lives) — the
         engine's seed-memoized uniforms hit this cache on every rerun.
@@ -405,12 +406,19 @@ class FusedKernel:
         return out
 
     # -- fused run driver --------------------------------------------------------
-    def simulate(self, strategies, uniforms, profile=None, trellis=None):
+    def simulate(self, strategies, uniforms, profile=None, trellis=None, repeat=1):
+        """Closed run of ``repeat * M`` episodes on an ``(M, N, W)`` buffer.
+
+        Episode ``b`` reads the streams of buffer row ``b mod M``, so
+        ``repeat`` groups of episodes share common random numbers without a
+        copy of the buffer (and the rank memo keeps hitting it).
+        """
         from ..engine import BatchSimulationResult  # deferred: package cycle
 
         engine = self.engine
         scenario = engine.scenario
-        num_episodes, num_nodes, width = uniforms.shape
+        num_rows, num_nodes, width = uniforms.shape
+        num_episodes = num_rows * repeat
         horizon = scenario.horizon
         num_obs = self.num_observations
         if trellis is None:
@@ -424,16 +432,17 @@ class FusedKernel:
         if profile is not None:
             profile.backend = self.name + ("+trellis" if use_trellis else "")
 
-        B, N = num_episodes, num_nodes
+        B, N, M = num_episodes, num_nodes, num_rows
         flat = uniforms.reshape(-1)
+        # Buffer row of each episode (episode b reads row b mod M).
+        buffer_rows = np.arange(B, dtype=np.int64) % M
         # Node-major (N, B) layout: per-node slices are contiguous rows.
         # ``idx2[0]`` / ``idx2[1]`` are the absolute flat indices of each
         # stream's transition and observation uniforms — maintained
         # incrementally and consumed by one paired gather per step.
         idx2 = np.empty((2, N, B), dtype=np.int64)
         idx2[0] = (
-            np.arange(N, dtype=np.int64)[:, None]
-            + np.arange(B, dtype=np.int64)[None, :] * N
+            np.arange(N, dtype=np.int64)[:, None] + buffer_rows[None, :] * N
         ) * width
         idx2[1] = idx2[0] + 1
         state = np.zeros((N, B), dtype=np.int64)
@@ -468,17 +477,14 @@ class FusedKernel:
         if use_rank:
             # Precomputed per-uniform CDF ranks (memoized per buffer) in
             # step-major rows: a stream at within-stream draw ``k`` reads
-            # its transition rank at flat ``k * 2NB + jb`` and its
-            # observation rank (draw ``k + 1``) at ``+ 3NB``, so lock-step
-            # streams gather from contiguous rows.  The sampled state is
-            # gathered straight into this step's state-log row.
+            # its transition rank at flat ``k * 2NM + jM + (b mod M)`` and
+            # its observation rank (draw ``k + 1``) at ``+ 3NM``, so
+            # lock-step streams gather from contiguous rows.  The sampled
+            # state is gathered straight into this step's state-log row.
             ranks2 = self._uniform_ranks(uniforms)
-            nb = N * B
-            idx2[0] = (
-                np.arange(N, dtype=np.int64)[:, None] * B
-                + np.arange(B, dtype=np.int64)[None, :]
-            )
-            idx2[1] = idx2[0] + 3 * nb
+            nm = N * M
+            idx2[0] = np.arange(N, dtype=np.int64)[:, None] * M + buffer_rows[None, :]
+            idx2[1] = idx2[0] + 3 * nm
             iuu = np.empty((2, N, B), dtype=np.int64)
             state = np.zeros((N, B), dtype=np.uint8)
             ns_live = np.empty((N, B), dtype=np.uint8)
@@ -642,12 +648,12 @@ class FusedKernel:
                 if crash_any:
                     # Advance 2 draws (rows), minus the crashed streams'
                     # unconsumed observation peek.
-                    np.multiply(alive, 2 * nb, out=ibuf)
+                    np.multiply(alive, 2 * nm, out=ibuf)
                     np.add(idx2[0], ibuf, out=idx2[0])
-                    np.add(idx2[0], 2 * nb, out=idx2[0])
-                    np.add(idx2[0], 3 * nb, out=idx2[1])
+                    np.add(idx2[0], 2 * nm, out=idx2[0])
+                    np.add(idx2[0], 3 * nm, out=idx2[1])
                 else:
-                    np.add(idx2, 4 * nb, out=idx2)
+                    np.add(idx2, 4 * nm, out=idx2)
                 # The gathered rank plus the live state (0/1, crashed
                 # already zeroed) indexes the observation/likelihood tables.
                 np.multiply(ns, rank_len_col, out=ibuf)

@@ -73,8 +73,8 @@ NUMBA_TOLERANCE_TIER = {
 
 
 def _simulate_loop(
-    uniforms: np.ndarray,  # (B, N, W) float64, C-contiguous
-    thresholds: np.ndarray,  # (N, B, D) float64
+    uniforms: np.ndarray,  # (M, N, W) float64, C-contiguous; episode b reads row b % M
+    thresholds: np.ndarray,  # (N, B, D) float64, B a multiple of M
     deadlines: np.ndarray,  # (N,) int64 (BTR + periodic schedules folded in)
     m4: np.ndarray,  # (N, 4, 2) live-state rows [W_H; W_C; R_H; R_C]
     like_h: np.ndarray,  # (N, O) Z(o | H)
@@ -86,7 +86,8 @@ def _simulate_loop(
     horizon: int,
     f: int,  # tolerance threshold, -1 when availability is untracked
 ):
-    num_episodes, num_nodes, _ = uniforms.shape
+    num_rows, num_nodes, _ = uniforms.shape
+    num_episodes = thresholds.shape[1]
     depth = thresholds.shape[2]
     num_obs = like_h.shape[1]
 
@@ -108,6 +109,7 @@ def _simulate_loop(
 
     for _t in range(horizon):
         for b in range(num_episodes):
+            u_row = b % num_rows
             failed = 0
             for j in range(num_nodes):
                 s = state[b, j]
@@ -125,7 +127,7 @@ def _simulate_loop(
                 elif s == 1:
                     total_cost[b, j] += eta[j]
 
-                u = uniforms[b, j, cursor[b, j]]
+                u = uniforms[u_row, j, cursor[b, j]]
                 cursor[b, j] += 1
                 ai = 1 if act else 0
                 ns = 0
@@ -161,7 +163,7 @@ def _simulate_loop(
                 if ns == 1:
                     failed += 1
 
-                u2 = uniforms[b, j, cursor[b, j]]
+                u2 = uniforms[u_row, j, cursor[b, j]]
                 cursor[b, j] += 1
                 o = 0
                 while o < num_obs and ocdf[j, ns, o] <= u2:
@@ -242,19 +244,20 @@ class NumbaKernel:
     def update_beliefs(self, *args, **kwargs):
         return self._fused.update_beliefs(*args, **kwargs)
 
-    def simulate(self, strategies, uniforms, profile=None, trellis=None):
+    def simulate(self, strategies, uniforms, profile=None, trellis=None, repeat=1):
         from ..engine import BatchSimulationResult  # deferred: package cycle
 
         from time import perf_counter_ns
 
         engine = self.engine
-        num_episodes = uniforms.shape[0]
+        # The loop reads buffer row b % M for episode b of the repeat * M.
+        num_episodes = uniforms.shape[0] * repeat
         table = self._threshold_table(strategies, num_episodes)
         if table is None:
             # Not expressible as threshold tables (e.g. a wrapped learned
             # policy): run on the fused NumPy backend instead.
             return self._fused.simulate(
-                strategies, uniforms, profile=profile, trellis=trellis
+                strategies, uniforms, profile=profile, trellis=trellis, repeat=repeat
             )
         thresholds, deadlines = table
         loop = _get_loop(jit=not self.force_python)

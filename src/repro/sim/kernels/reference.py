@@ -92,11 +92,15 @@ class ReferenceKernel:
         return updated
 
     # -- run driver --------------------------------------------------------------
-    def simulate(self, strategies, uniforms, profile=None, trellis=None):
-        """Step-loop driver: one strategy application + one step per round."""
+    def simulate(self, strategies, uniforms, profile=None, trellis=None, repeat=1):
+        """Step-loop driver: one strategy application + one step per round.
+
+        Runs ``repeat * M`` episodes on the ``(M, N, W)`` buffer; episode
+        ``b`` reads buffer row ``b mod M`` (see ``BatchRecoveryEngine.begin``).
+        """
         del trellis  # the reference path has no trellis
         engine = self.engine
-        sim = engine._begin(uniforms)
+        sim = engine._begin(uniforms, repeat=repeat)
         sim.profile = profile
         if profile is not None:
             profile.backend = self.name

@@ -66,7 +66,9 @@ class BatchMultiThreshold:
         thresholds = np.asarray(self.thresholds, dtype=float)
         if thresholds.ndim not in (1, 2) or thresholds.shape[-1] == 0:
             raise ValueError("thresholds must have shape (d,) or (B, d) with d >= 1")
-        if np.any(thresholds < 0.0) or np.any(thresholds > 1.0):
+        # Written as "all inside" so that NaN (for which every comparison is
+        # False) is rejected, as the scalar strategies reject it.
+        if not np.all((thresholds >= 0.0) & (thresholds <= 1.0)):
             raise ValueError("thresholds must lie in [0, 1]")
         object.__setattr__(self, "thresholds", thresholds)
 

@@ -14,8 +14,9 @@ optimizer diagnostics used to reproduce Table 2 and Figures 7-8.
 By default the objective estimator routes through the vectorized batch
 engine (:mod:`repro.sim`): a single candidate is simulated as one batch of
 episodes, and optimizers that evaluate whole populations (CEM, and the
-initial designs of DE/BO/random search) submit all candidates as one ``K x
-M`` episode batch with common random numbers.  Because the batch engine is
+initial designs of DE/BO/random search) submit all ``K`` candidates as one
+engine run with common random numbers, every candidate's ``M`` episodes
+reading the same shared uniform buffer.  Because the batch engine is
 bit-exact against the scalar simulator, ``batch=True`` changes wall-clock
 time only — never the solver's output.
 """
@@ -134,7 +135,8 @@ def solve_recovery_problem(
     if batch:
         # Common random numbers across candidates reduce estimator variance;
         # population-based optimizers evaluate all K candidates in one
-        # K x M episode batch through `evaluate_population`.
+        # engine run through `evaluate_population`, every candidate reading
+        # the same M episode streams of one shared buffer.
         objective = _BatchThresholdObjective(
             simulator._batch_engine(),
             episodes_per_evaluation,

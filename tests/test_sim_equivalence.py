@@ -212,6 +212,9 @@ class TestPopulationObjective:
             BatchMultiThreshold(np.empty((3, 0)))
         with pytest.raises(ValueError):
             BatchMultiThreshold(np.array([0.5, 1.5]))
+        # NaN fails every comparison; the scalar strategies reject it too.
+        with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
+            BatchMultiThreshold(np.array([[0.5], [np.nan]]))
         per_episode = BatchMultiThreshold(np.array([[0.1], [0.9]]))
         with pytest.raises(ValueError):
             per_episode.action_batch(np.zeros(3), np.zeros(3, dtype=int))

@@ -552,8 +552,6 @@ class TwoLevelController:
             BTR-forced recoveries are always executed.
         engine: Optional pre-built engine for ``scenario`` (sharing one
             across controllers skips recompiling the scenario kernels).
-        backend: Kernel backend name forwarded to the engine when none is
-            given (see :mod:`repro.sim.kernels`).
         record_system_trace: Record the per-step :class:`SystemTrace`
             (required by the PPO replication trainer and the
             system-identification loop).
@@ -577,7 +575,6 @@ class TwoLevelController:
         engine: BatchRecoveryEngine | None = None,
         record_system_trace: bool = False,
         record_decisions: bool = False,
-        backend: str | None = None,
     ) -> None:
         if scenario.f is None:
             raise ValueError(
@@ -607,7 +604,7 @@ class TwoLevelController:
             if hasattr(recovery_policy, "act")
             else StrategyPolicy(recovery_policy)
         )
-        self.env = VectorRecoveryEnv(scenario, num_envs, engine, backend=backend)
+        self.env = VectorRecoveryEnv(scenario, num_envs, engine)
         self.record_system_trace = record_system_trace
         self.record_decisions = record_decisions
         self.system_trace: SystemTrace | None = None

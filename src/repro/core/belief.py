@@ -44,19 +44,16 @@ the live-conditioned compromise probability ``P[C | alive]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .node_model import NODE_STATES, NodeAction, NodeState, NodeTransitionModel
 from .observation import ObservationModel
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core <- sim)
-    from ..sim.kernels import CachedBeliefDynamics
-
 __all__ = [
     "BeliefState",
     "BeliefFilter",
+    "CachedBeliefDynamics",
     "update_compromise_belief",
     "batch_update_compromise_belief",
     "belief_transition_distribution",
@@ -362,12 +359,52 @@ def batch_update_compromise_belief(
     )
 
 
+class CachedBeliefDynamics:
+    """Exact memo table for deterministic belief-dynamics evaluations.
+
+    Belief updates and observation probabilities are pure functions of
+    ``(belief, action, observation)``; backward-induction solvers evaluate
+    them for the same grid beliefs over and over (every stage of a
+    finite-horizon sweep revisits the full grid).  The memo returns the
+    previously computed float — which is *exact*, not approximate, because
+    identical double inputs produce identical doubles.
+
+    The table is keyed by the raw float belief plus the discrete arguments;
+    ``hits`` / ``misses`` counters make cache effectiveness observable.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple, object] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._memo)
+
+    def get(self, key: tuple, compute):
+        """Return the memoized value for ``key``, computing it on first use."""
+        try:
+            value = self._memo[key]
+        except KeyError:
+            self.misses += 1
+            value = compute()
+            self._memo[key] = value
+            return value
+        self.hits += 1
+        return value
+
+    def clear(self) -> None:
+        self._memo.clear()
+        self.hits = 0
+        self.misses = 0
+
+
 def belief_transition_distribution(
     belief: float,
     action: NodeAction,
     transition_model: NodeTransitionModel,
     observation_model: ObservationModel,
-    cache: "CachedBeliefDynamics | None" = None,
+    cache: CachedBeliefDynamics | None = None,
 ) -> list[tuple[float, float]]:
     """Distribution over next beliefs ``(probability, b')`` given ``(b, a)``.
 
@@ -376,8 +413,7 @@ def belief_transition_distribution(
     next belief ``b' = tau(b, a, o)`` occurs with probability ``P[o | b, a]``.
 
     Args:
-        cache: Optional
-            :class:`~repro.sim.kernels.CachedBeliefDynamics` memo.  The
+        cache: Optional :class:`CachedBeliefDynamics` memo.  The
             distribution is a pure function of ``(belief, action)`` for
             fixed models, so backward-induction sweeps that revisit grid
             beliefs reuse the exact previously computed list.

@@ -41,10 +41,6 @@ class VectorRecoveryEnv:
         engine: Optional pre-built engine for ``scenario`` (rebuilding the
             engine recompiles the scenario kernels; sharing one across
             environments avoids that).
-        backend: Kernel backend name forwarded to
-            :class:`~repro.sim.BatchRecoveryEngine` when no ``engine`` is
-            given; ``None`` follows the engine's default selection
-            (``REPRO_ENGINE_BACKEND`` or ``fused``).
         track_metrics: Track recovery/compromise/delay statistics so that
             :meth:`result` reports them (the default).  Rollout consumers
             that only need costs and observations — the PPO collector —
@@ -63,17 +59,12 @@ class VectorRecoveryEnv:
         engine: BatchRecoveryEngine | None = None,
         track_metrics: bool = True,
         copy_observations: bool = True,
-        backend: str | None = None,
     ) -> None:
         if num_envs < 1:
             raise ValueError("num_envs must be >= 1")
-        if engine is not None and backend is not None:
-            raise ValueError("pass either a pre-built engine or a backend, not both")
         self.scenario = scenario
         self._num_envs = num_envs
-        self.engine = (
-            engine if engine is not None else BatchRecoveryEngine(scenario, backend=backend)
-        )
+        self.engine = engine if engine is not None else BatchRecoveryEngine(scenario)
         self._track_metrics = track_metrics
         self._copy_observations = copy_observations
         self._active = np.ones((num_envs, scenario.num_nodes), dtype=bool)
@@ -256,9 +247,8 @@ class FleetVectorEnv(VectorRecoveryEnv):
         scenario: FleetScenario,
         num_envs: int,
         engine: BatchRecoveryEngine | None = None,
-        backend: str | None = None,
     ) -> None:
-        super().__init__(scenario, num_envs, engine, backend=backend)
+        super().__init__(scenario, num_envs, engine)
         self._system_states: list[np.ndarray] = []
         self._class_slots: dict[str, np.ndarray] | None = (
             scenario.class_slots() if scenario.node_labels is not None else None

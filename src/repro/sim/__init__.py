@@ -48,16 +48,15 @@ Layer contract
   (This replaced the pre-1.1 single shared generator — same-seed outputs
   differ from version 1.0.0.)
 
-Kernel backends (PR 7)
-----------------------
+Kernel backends
+---------------
 
-The belief kernels and the closed run loop live in :mod:`repro.sim.kernels`
-behind a selectable backend: ``fused`` (default, bit-exact flat-gather
-kernels plus a prefix-memoized belief trellis), ``reference`` (the
-node-by-node path of PRs 1-6, bit-exact), and ``numba`` (optional JIT,
-``pip install .[kernels]``, validated under a versioned tolerance tier).
-Select with ``BatchRecoveryEngine(scenario, backend=...)`` or the
-``REPRO_ENGINE_BACKEND`` environment variable.
+The belief kernels live in :mod:`repro.sim.kernels` behind one of two
+backends, both bit-exact: ``fused`` (default; flat-gather kernels and a
+table-driven closed run loop) and ``reference`` (node by node, run through
+the engine's generic step loop; the ground truth the fused kernel is
+tested against).  Select with ``BatchRecoveryEngine(scenario,
+backend=...)``.
 
 Adversary processes (PR 9)
 --------------------------
@@ -101,14 +100,7 @@ from .adversary import (
     adversary_to_spec,
 )
 from .engine import BatchEpisodeState, BatchRecoveryEngine, BatchSimulationResult
-from .kernels import (
-    BeliefTrellis,
-    CachedBeliefDynamics,
-    EngineProfile,
-    available_backends,
-    resolve_backend,
-    trellis_eligible,
-)
+from .kernels import EngineProfile, resolve_backend
 from .scenario import FleetScenario, NodeClass
 from .strategies import (
     BatchMultiThreshold,
@@ -125,9 +117,7 @@ __all__ = [
     "BatchRecoveryEngine",
     "BatchSimulationResult",
     "BatchStrategy",
-    "BeliefTrellis",
     "BurstyAdversary",
-    "CachedBeliefDynamics",
     "CorrelatedAdversary",
     "EngineProfile",
     "FleetScenario",
@@ -138,8 +128,6 @@ __all__ = [
     "adversary_from_spec",
     "adversary_to_spec",
     "as_batch_strategy",
-    "available_backends",
     "batch_update_compromise_belief",
     "resolve_backend",
-    "trellis_eligible",
 ]

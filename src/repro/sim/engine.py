@@ -37,15 +37,14 @@ every strategy class.
 Backends
 --------
 
-The belief kernels and the closed run loop live behind a selectable backend
-(:mod:`repro.sim.kernels`): ``fused`` (default) runs the whole update as
-flat gathers plus one fused multiply-add and memoizes belief prefixes in a
-trellis for deterministic strategies, ``reference`` is the node-by-node
-path of PRs 1-6, and ``numba`` (optional, ``pip install .[kernels]``) JITs
-the full step loop.  ``reference`` and ``fused`` are both bit-exact; the
-``numba`` backend is validated under a versioned tolerance tier.  Select
-with ``BatchRecoveryEngine(scenario, backend=...)`` or the
-``REPRO_ENGINE_BACKEND`` environment variable.
+The belief kernels live behind one of two backends
+(:mod:`repro.sim.kernels`), selected with
+``BatchRecoveryEngine(scenario, backend=...)``: ``fused`` (default) runs
+the update as flat gathers plus one fused multiply-add and closes a static
+run in its own table-driven loop; ``reference`` updates node by node and
+runs through the engine's generic step loop (:meth:`begin`, then per step
+the strategies and one :meth:`step`, then :meth:`finalize`), the same loop
+every backend uses for dynamic adversaries.  Both are bit-exact.
 """
 
 from __future__ import annotations
@@ -257,9 +256,8 @@ class BatchRecoveryEngine:
 
     Args:
         scenario: The fleet scenario to precompile.
-        backend: Kernel backend name (``"reference"``, ``"fused"`` or
-            ``"numba"``); ``None`` consults the ``REPRO_ENGINE_BACKEND``
-            environment variable and defaults to ``"fused"``.
+        backend: Kernel backend name, ``"fused"`` (the default for
+            ``None``) or ``"reference"``.
     """
 
     def __init__(self, scenario: FleetScenario, backend: str | None = None) -> None:
@@ -397,7 +395,6 @@ class BatchRecoveryEngine:
         seed: int | None = None,
         uniforms: np.ndarray | None = None,
         profile: bool | EngineProfile | None = None,
-        trellis: bool | None = None,
         adversary_uniforms: np.ndarray | None = None,
     ) -> BatchSimulationResult:
         """Simulate ``num_episodes`` episodes of the whole fleet.
@@ -410,15 +407,13 @@ class BatchRecoveryEngine:
                 given.
             seed: Seed for the episode seed tree; ``None`` draws fresh OS
                 entropy (non-reproducible), matching the scalar simulator.
-            uniforms: Pre-drawn ``(B, N, width)`` uniform buffer, bypassing
-                :meth:`draw_uniforms` (benchmarks use this to time the step
-                path separately from stream generation).
+            uniforms: Pre-drawn ``(B, N, width)`` uniform buffer with
+                ``width >= 2 * horizon``, bypassing :meth:`draw_uniforms`
+                (benchmarks use this to time the step path separately from
+                stream generation).
             profile: ``True`` (or an :class:`EngineProfile` to accumulate
                 into) records per-phase wall-clock time; the filled profile
                 is returned on the result.
-            trellis: Force the prefix-memoized belief trellis on or off for
-                eligible deterministic strategies; ``None`` lets the
-                backend decide.
             adversary_uniforms: Pre-drawn ``(B, horizon, K)`` adversary
                 buffer (dynamic adversaries with pre-drawn ``uniforms``
                 require it; the seed path draws it automatically from the
@@ -434,13 +429,14 @@ class BatchRecoveryEngine:
             uniforms = self.draw_uniforms(seed, num_episodes)
             if self._dynamic and adversary_uniforms is None:
                 adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)
+        else:
+            uniforms = self._check_uniforms(uniforms)
         batch_strategies = self._normalize_strategies(strategies)
         prof = EngineProfile(backend=self.backend) if profile is True else profile
         result = self._simulate(
             batch_strategies,
             uniforms,
             profile=prof,
-            trellis=trellis,
             adversary_uniforms=adversary_uniforms,
         )
         if prof is not None:
@@ -496,6 +492,28 @@ class BatchRecoveryEngine:
         return costs.mean(axis=1)
 
     # -- internals --------------------------------------------------------------
+    def _check_uniforms(self, uniforms) -> np.ndarray:
+        """Validate a pre-drawn ``(B, num_nodes, width)`` uniform buffer.
+
+        Every horizon step reads up to two uniforms per stream, so the
+        buffer needs ``width >= 2 * horizon``; a wrong node count or a
+        narrow buffer would otherwise fail deep inside a kernel, or not at
+        all.
+        """
+        uniforms = np.asarray(uniforms, dtype=float)
+        num_nodes = self.scenario.num_nodes
+        width = 2 * self.scenario.horizon
+        if (
+            uniforms.ndim != 3
+            or uniforms.shape[1] != num_nodes
+            or uniforms.shape[2] < width
+        ):
+            raise ValueError(
+                f"uniforms must have shape (B, {num_nodes}, W) with W >= "
+                f"2 * horizon = {width}, got {uniforms.shape}"
+            )
+        return uniforms
+
     def _normalize_strategies(self, strategies) -> list[BatchStrategy]:
         num_nodes = self.scenario.num_nodes
         if isinstance(strategies, (list, tuple)):
@@ -532,8 +550,9 @@ class BatchRecoveryEngine:
                 costs, beliefs and random streams are unchanged) — a fast
                 path for rollout collectors that consume the returned step
                 costs and observations and never call :meth:`finalize`.
-            uniforms: Pre-drawn ``(B, N, width)`` uniform buffer (e.g. a
-                per-episode slice of :meth:`draw_uniforms`), which makes a
+            uniforms: Pre-drawn ``(B, N, width)`` uniform buffer with
+                ``width >= 2 * horizon`` (e.g. a per-episode slice of
+                :meth:`draw_uniforms`), which makes a
                 ``B = 1`` replay of one row of a larger batch bit-identical
                 to that row — the scalar reference loop of
                 :mod:`repro.control` relies on this.  Mutually exclusive
@@ -558,12 +577,7 @@ class BatchRecoveryEngine:
         if uniforms is not None:
             if num_episodes is not None or seed is not None:
                 raise ValueError("pass either uniforms or (num_episodes, seed), not both")
-            uniforms = np.asarray(uniforms, dtype=float)
-            if uniforms.ndim != 3 or uniforms.shape[1] != self.scenario.num_nodes:
-                raise ValueError(
-                    "uniforms must have shape (B, num_nodes, width), got "
-                    f"{uniforms.shape}"
-                )
+            uniforms = self._check_uniforms(uniforms)
         else:
             if num_episodes is None or num_episodes < 1:
                 raise ValueError("num_episodes must be >= 1")
@@ -909,55 +923,50 @@ class BatchRecoveryEngine:
         trellis: bool | None = None,
         adversary_uniforms: np.ndarray | None = None,
     ) -> BatchSimulationResult:
+        # ``trellis`` is accepted and ignored: no kernel has a belief trellis,
+        # but ``perfbench/tracing.py`` wraps this method with a fixed
+        # signature and passes ``trellis=`` by keyword.
+        del trellis
         uniforms, repeat = (
             uniforms if isinstance(uniforms, _SharedStreams) else (uniforms, 1)
         )
         if self._dynamic:
-            return self._simulate_dynamic(
+            return self._run_steps(
                 strategies, uniforms, profile, adversary_uniforms, repeat
             )
-        return self._kernel.simulate(
-            strategies, uniforms, profile=profile, trellis=trellis, repeat=repeat
-        )
+        return self._kernel.simulate(strategies, uniforms, profile=profile, repeat=repeat)
 
-    def _simulate_dynamic(
+    def _run_steps(
         self,
         strategies: list[BatchStrategy],
         uniforms: np.ndarray,
-        profile: EngineProfile | None,
-        adversary_uniforms: np.ndarray | None,
-        repeat: int,
+        profile: EngineProfile | None = None,
+        adversary_uniforms: np.ndarray | None = None,
+        repeat: int = 1,
     ) -> BatchSimulationResult:
-        """Generic step-loop driver for dynamic adversaries.
+        """Generic step loop: begin, strategies and one :meth:`step` per round, finalize.
 
-        The kernels' fused ``simulate`` fast paths (merged-CDF rank tables,
-        transition matmul tables, the belief trellis) all bake the static
-        per-node CDFs in at construction time, so dynamic adversaries route
-        through this explicit loop instead — :meth:`step` rebuilds the
-        transition CDFs per step, while belief updates still go through the
+        This is the reference backend's run, and every backend's run under a
+        dynamic adversary: the fused kernel's closed loop bakes the static
+        per-node CDFs into its rank tables, while :meth:`step` rebuilds the
+        transition CDFs per step.  Belief updates still go through the
         active kernel's ``update_beliefs`` (the defender's recursion uses
-        the nominal model on every backend).
+        the nominal model on every backend).  Runs ``repeat * M`` episodes
+        on the ``(M, N, W)`` buffer; episode ``b`` reads row ``b mod M``.
         """
         sim = self._begin(uniforms, True, adversary_uniforms, repeat)
+        sim.profile = profile
         if profile is not None:
-            sim.profile = profile
+            profile.backend = self.backend
         recover = np.empty(sim.state.shape, dtype=bool)
         for _ in range(self.scenario.horizon):
+            if profile is not None:
+                t0 = perf_counter_ns()
             for j, strategy in enumerate(strategies):
                 recover[:, j] = strategy.action_batch(
                     sim.belief[:, j], sim.time_since_recovery[:, j]
                 )
+            if profile is not None:
+                profile.add("strategy", perf_counter_ns() - t0)
             self.step(sim, recover)
         return self.finalize(sim)
-
-    def _update_beliefs(
-        self,
-        recover: np.ndarray,
-        observation_index: np.ndarray,
-        belief: np.ndarray,
-        workspace: dict | None = None,
-    ) -> np.ndarray:
-        """Batched Appendix A recursion (delegates to the active kernel)."""
-        return self._kernel.update_beliefs(
-            recover, observation_index, belief, workspace=workspace
-        )

@@ -44,11 +44,7 @@ step) and reconstructs everything exactly afterwards.  Integer sums are
 order-independent, so the counters are a pure reordering; ``total_cost``,
 float addition not being associative, is re-accumulated at finalize with an
 explicit sequential loop over steps — the same element order as the eager
-path, just outside the hot loop.  When all strategies are deterministic in
-``(belief, time_since_recovery)`` *and* the observation alphabet is small
-enough for prefixes to actually repeat, the driver switches to the
-prefix-memoized :class:`~.trellis.BeliefTrellis` and replaces the
-per-stream belief update with an integer gather.
+path, just outside the hot loop.
 """
 
 from __future__ import annotations
@@ -57,10 +53,8 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from ...core.belief import _batch_two_state_posterior
 from ...core.node_model import NodeAction, NodeState
 from ...core.strategies import ThresholdStrategy
-from .trellis import BeliefTrellis, trellis_eligible
 
 __all__ = ["FusedKernel"]
 
@@ -70,17 +64,6 @@ _CRASHED = int(NodeState.CRASHED)
 _WAIT = int(NodeAction.WAIT)
 _RECOVER = int(NodeAction.RECOVER)
 
-#: Default cap on trellis nodes per fleet node; beyond it the driver
-#: materializes the beliefs and finishes the run on the table path.
-_MAX_TRELLIS_NODES = 65536
-#: Minimum batch size for the trellis to pay for its gathers.
-_MIN_TRELLIS_BATCH = 16
-#: Auto-enable the trellis only for observation alphabets up to this size.
-#: With wide alphabets (e.g. BetaBinomial's 10 bins) WAIT chains keep
-#: minting fresh ``(belief, depth)`` prefixes — measured ~40% steady-state
-#: miss rate on the Table 2 workload — so discovery never stops paying and
-#: the table path wins.  ``trellis=True`` still forces it on.
-_MAX_TRELLIS_AUTO_OBS = 4
 #: Fleet sizes up to this use the precomputed-rank transition/observation
 #: path; larger fleets amortize one big row-gather better.
 _MAX_RANK_NODES = 4
@@ -129,8 +112,8 @@ class FusedKernel:
         """Merged-CDF observation rank tables for the run driver.
 
         One ``searchsorted`` against the sorted union of a node's healthy
-        and compromised CDFs yields a *rank* from which both the observation
-        index and both likelihoods follow by pure integer table lookups:
+        and compromised CDFs yields a *rank* from which the likelihoods of
+        the sampled observation follow by pure integer table lookups:
         ``rank = #{merged <= u}`` determines ``#{cdf_s <= u}`` exactly for
         either state ``s`` because every CDF value is itself a merged value
         — no float arithmetic touches ``u``, so exact inversion of both
@@ -138,7 +121,6 @@ class FusedKernel:
         Flat layout: entry ``rank_base[j] + s * rank_len[j] + rank``.
         """
         num_nodes = pmf.shape[0]
-        obs_parts: list[np.ndarray] = []
         zh_parts: list[np.ndarray] = []
         zc_parts: list[np.ndarray] = []
         self._obs_merged: list[np.ndarray] = []
@@ -161,13 +143,11 @@ class FusedKernel:
             # into range so the likelihood tables can be built.
             np.minimum(omap, self.num_observations - 1, out=omap)
             self._obs_merged.append(merged)
-            obs_parts.append(omap)
             zh_parts.append(pmf[j, _HEALTHY][omap])
             zc_parts.append(pmf[j, _COMPROMISED][omap])
             rank_base[j] = base
             rank_len[j] = len(merged) + 1
             base += 2 * (len(merged) + 1)
-        self._obs_tab = np.ascontiguousarray(np.concatenate(obs_parts))
         self._zh_tab = np.ascontiguousarray(np.concatenate(zh_parts))
         self._zc_tab = np.ascontiguousarray(np.concatenate(zc_parts))
         self._rank_base = rank_base
@@ -406,7 +386,7 @@ class FusedKernel:
         return out
 
     # -- fused run driver --------------------------------------------------------
-    def simulate(self, strategies, uniforms, profile=None, trellis=None, repeat=1):
+    def simulate(self, strategies, uniforms, profile=None, repeat=1):
         """Closed run of ``repeat * M`` episodes on an ``(M, N, W)`` buffer.
 
         Episode ``b`` reads the streams of buffer row ``b mod M``, so
@@ -421,16 +401,8 @@ class FusedKernel:
         num_episodes = num_rows * repeat
         horizon = scenario.horizon
         num_obs = self.num_observations
-        if trellis is None:
-            use_trellis = (
-                num_episodes >= _MIN_TRELLIS_BATCH
-                and num_obs <= _MAX_TRELLIS_AUTO_OBS
-                and all(trellis_eligible(s) for s in strategies)
-            )
-        else:
-            use_trellis = bool(trellis) and all(trellis_eligible(s) for s in strategies)
         if profile is not None:
-            profile.backend = self.name + ("+trellis" if use_trellis else "")
+            profile.backend = self.name
 
         B, N, M = num_episodes, num_nodes, num_rows
         flat = uniforms.reshape(-1)
@@ -464,7 +436,6 @@ class FusedKernel:
         ibuf = np.empty((N, B), dtype=np.int64)
         alive = np.empty((N, B), dtype=bool)
         reset = np.empty((N, B), dtype=bool)
-        obs = np.empty((N, B), dtype=np.int64)
         emb = np.empty((N, 4, B))
         prior = np.empty((N, 2, B))
         zh = np.empty((N, B))
@@ -500,6 +471,7 @@ class FusedKernel:
             g = np.empty((N, B))
             c1 = np.empty((N, B), dtype=np.int64)
             c2 = np.empty((N, B), dtype=np.int64)
+            obs = np.empty((N, B), dtype=np.int64)
             obs_rows = np.empty((N, B, num_obs))
             obs_cmp = np.empty((N, B, num_obs), dtype=bool)
             obase_col = engine._observation_node_base[:, None]
@@ -524,7 +496,6 @@ class FusedKernel:
             ibuf = ibuf.reshape(B)
             alive = alive.reshape(B)
             reset = reset.reshape(B)
-            obs = obs.reshape(B)
             zh = zh.reshape(B)
             zc = zc.reshape(B)
             wh = wh.reshape(B)
@@ -549,27 +520,6 @@ class FusedKernel:
         prior_h = prior[0] if flat1 else prior[:, 0]
         prior_c = prior[1] if flat1 else prior[:, 1]
 
-        trellises: list[BeliefTrellis] = []
-        if use_trellis:
-            tshape = (B,) if flat1 else (N, B)
-            ids = np.zeros(tshape, dtype=np.int64)
-            key = np.empty(tshape, dtype=np.int64)
-            child = np.empty(tshape, dtype=np.int64)
-            for j in range(N):
-                tr = BeliefTrellis(
-                    engine._initial_belief[j], num_obs, max_nodes=_MAX_TRELLIS_NODES
-                )
-                root_act = bool(
-                    np.asarray(
-                        strategies[j].action_batch(
-                            np.array([engine._initial_belief[j]]),
-                            np.zeros(1, dtype=np.int64),
-                        )
-                    )[0]
-                ) or bool(engine._btr_deadline[j] <= 0)
-                tr.actions[0] = root_act
-                trellises.append(tr)
-
         prof = profile
         for t in range(horizon):
             # -- strategy phase -------------------------------------------------
@@ -578,22 +528,15 @@ class FusedKernel:
             # The recover mask is written straight into its log row (the
             # deferred-metrics log doubles as the step buffer).
             act = log_recover_rows[t]
-            if use_trellis:
-                if flat1:
-                    np.take(trellises[0].actions, ids, out=act)
-                else:
-                    for j in range(N):
-                        np.take(trellises[j].actions, ids[j], out=act[j])
+            if fast_thresholds is not None:
+                np.greater_equal(belief, fast_thresholds, out=act)
+            elif flat1:
+                act[...] = strategies[0].action_batch(belief, tsr)
             else:
-                if fast_thresholds is not None:
-                    np.greater_equal(belief, fast_thresholds, out=act)
-                elif flat1:
-                    act[...] = strategies[0].action_batch(belief, tsr)
-                else:
-                    for j, strategy in enumerate(strategies):
-                        act[j] = strategy.action_batch(belief[j], tsr[j])
-                np.greater_equal(tsr, deadline_col, out=forced)
-                np.logical_or(act, forced, out=act)
+                for j, strategy in enumerate(strategies):
+                    act[j] = strategy.action_batch(belief[j], tsr[j])
+            np.greater_equal(tsr, deadline_col, out=forced)
+            np.logical_or(act, forced, out=act)
             if prof is not None:
                 t1 = perf_counter_ns()
                 prof.add("strategy", t1 - t0)
@@ -660,8 +603,6 @@ class FusedKernel:
                 if N > 1:
                     np.add(ibuf, rank_base_col, out=ibuf)
                 np.add(ibuf, iuu[1], out=ibuf)
-                if use_trellis:
-                    self._obs_tab.take(ibuf, out=obs)
             else:
                 if crash_any:
                     np.add(idx2[1], alive, out=idx2[0])
@@ -678,58 +619,21 @@ class FusedKernel:
                 t0 = t1
 
             # -- belief advance -------------------------------------------------
-            if use_trellis:
-                np.multiply(ids, num_obs, out=key)
-                np.add(key, obs, out=key)
-                if flat1:
-                    np.take(trellises[0].children, key, out=child)
-                else:
-                    for j in range(N):
-                        np.take(trellises[j].children, key[j], out=child[j])
-                np.copyto(child, 0, where=reset)
-                if (child < 0).any():
-                    discovered = (
-                        self._discover(
-                            trellises, strategies, key[None], child[None], reset[None]
-                        )
-                        if flat1
-                        else self._discover(trellises, strategies, key, child, reset)
-                    )
-                    if discovered:
-                        ids, child = child, ids
-                    else:
-                        # Capacity cap hit: materialize and finish the run
-                        # on the table path (bit-identical either way).
-                        if flat1:
-                            np.take(trellises[0].beliefs, ids, out=belief)
-                            np.take(trellises[0].depths, ids, out=tsr)
-                        else:
-                            for j in range(N):
-                                np.take(trellises[j].beliefs, ids[j], out=belief[j])
-                                np.take(trellises[j].depths, ids[j], out=tsr[j])
-                        use_trellis = False
-                        if prof is not None:
-                            prof.backend = self.name
-                else:
-                    ids, child = child, ids
-            if not use_trellis:
-                self._embed(belief, act, emb, prior)
-                if use_rank:
-                    self._zh_tab.take(ibuf, out=zh)
-                    self._zc_tab.take(ibuf, out=zc)
-                else:
-                    idx = obs
-                    if N > 1:
-                        np.add(obs, like_base_col, out=ibuf)
-                        idx = ibuf
-                    self.like_healthy.take(idx, out=zh)
-                    self.like_compromised.take(idx, out=zc)
-                self._posterior(
-                    prior_h, prior_c, zh, zc, wh, wc, total, ones, belief
-                )
-                np.copyto(belief, init_col, where=reset)
-                np.add(tsr, 1, out=tsr)
-                np.copyto(tsr, 0, where=reset)
+            self._embed(belief, act, emb, prior)
+            if use_rank:
+                self._zh_tab.take(ibuf, out=zh)
+                self._zc_tab.take(ibuf, out=zc)
+            else:
+                idx = obs
+                if N > 1:
+                    np.add(obs, like_base_col, out=ibuf)
+                    idx = ibuf
+                self.like_healthy.take(idx, out=zh)
+                self.like_compromised.take(idx, out=zc)
+            self._posterior(prior_h, prior_c, zh, zc, wh, wc, total, ones, belief)
+            np.copyto(belief, init_col, where=reset)
+            np.add(tsr, 1, out=tsr)
+            np.copyto(tsr, 0, where=reset)
             if prof is not None:
                 t1 = perf_counter_ns()
                 prof.add("belief_update", t1 - t0)
@@ -769,51 +673,6 @@ class FusedKernel:
                 metrics["available"] / horizon if metrics["available"] is not None else None
             ),
         )
-
-    def _discover(
-        self,
-        trellises: list[BeliefTrellis],
-        strategies,
-        key: np.ndarray,
-        child: np.ndarray,
-        reset: np.ndarray,
-    ) -> bool:
-        """Materialize the missing trellis children referenced by ``key``.
-
-        Posteriors are computed once per distinct ``(parent, observation)``
-        edge with the same bit-exact batched update the table path uses.
-        Returns ``False`` when a trellis would exceed its node cap.
-        """
-        engine = self.engine
-        num_obs = self.num_observations
-        for j, tr in enumerate(trellises):
-            cj = child[j]
-            missing = cj < 0
-            if not missing.any():
-                continue
-            edges = np.unique(key[j][missing])
-            parents = edges // num_obs
-            obs_u = edges % num_obs
-            pmf = engine._observation_pmf[j]
-            wait_matrix = engine._matrices[j, _WAIT]
-            beliefs = _batch_two_state_posterior(
-                tr.beliefs[parents],
-                np.zeros(len(edges), dtype=bool),
-                pmf[_HEALTHY][obs_u],
-                pmf[_COMPROMISED][obs_u],
-                wait_matrix,
-                wait_matrix,
-                assume_regular=engine._regular_observations,
-            )
-            depths = tr.depths[parents] + 1
-            actions = np.asarray(
-                strategies[j].action_batch(beliefs, depths), dtype=bool
-            ) | (depths >= engine._btr_deadline[j])
-            if tr.add_children(edges, beliefs, depths, actions) is None:
-                return False
-            np.take(tr.children, key[j], out=cj)
-            np.copyto(cj, 0, where=reset[j])
-        return True
 
 
 def _metrics_from_logs(

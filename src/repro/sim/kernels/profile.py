@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 __all__ = ["EngineProfile", "PHASES"]
 
-#: Canonical phase names, in simulation order.  Backends may add phases of
-#: their own (the trellis driver does), but these four are always present.
+#: Canonical phase names, in simulation order.  Other phase names are
+#: accepted (``add`` and ``merge`` keep them), but these five are always
+#: present.
 PHASES = (
     "strategy",
     "transition_sample",
@@ -58,10 +59,9 @@ class EngineProfile:
 
         Sums the per-phase nanosecond totals and step counts of every
         non-``None`` input (``None`` entries — shards run without
-        profiling — are skipped).  Non-canonical phases contributed by a
-        backend (e.g. the trellis driver) are preserved; the backend name
-        is taken from the first profile that set one.  The merge of zero
-        profiles is an empty profile.
+        profiling — are skipped).  Non-canonical phases are preserved; the
+        backend name is taken from the first profile that set one.  The
+        merge of zero profiles is an empty profile.
         """
         merged = cls()
         for profile in profiles:

@@ -1,18 +1,17 @@
-"""Reference NumPy backend: the node-by-node engine path of PRs 1-6.
+"""Reference NumPy backend: the node-by-node engine path.
 
 This backend is the obviously-correct vectorized implementation the fused
 kernels are measured against: the belief update loops over fleet nodes and
 calls :func:`repro.core.belief._batch_two_state_posterior` per node (two
 ``(B, 3) @ (3, 3)`` products plus a ``where`` over the recover mask), and
-the run driver simply applies the strategies and calls
-:meth:`~repro.sim.engine.BatchRecoveryEngine.step` once per horizon step.
+its run is the engine's generic step loop, which applies the strategies
+and calls :meth:`~repro.sim.engine.BatchRecoveryEngine.step` once per
+horizon step.
 It stays bit-exact against the scalar simulator, and the fused backend is
 required to match it bit for bit in turn.
 """
 
 from __future__ import annotations
-
-from time import perf_counter_ns
 
 import numpy as np
 
@@ -92,28 +91,6 @@ class ReferenceKernel:
         return updated
 
     # -- run driver --------------------------------------------------------------
-    def simulate(self, strategies, uniforms, profile=None, trellis=None, repeat=1):
-        """Step-loop driver: one strategy application + one step per round.
-
-        Runs ``repeat * M`` episodes on the ``(M, N, W)`` buffer; episode
-        ``b`` reads buffer row ``b mod M`` (see ``BatchRecoveryEngine.begin``).
-        """
-        del trellis  # the reference path has no trellis
-        engine = self.engine
-        sim = engine._begin(uniforms, repeat=repeat)
-        sim.profile = profile
-        if profile is not None:
-            profile.backend = self.name
-        shape = sim.state.shape
-        recover = np.empty(shape, dtype=bool)
-        for _ in range(engine.scenario.horizon):
-            if profile is not None:
-                t0 = perf_counter_ns()
-            for j, strategy in enumerate(strategies):
-                recover[:, j] = strategy.action_batch(
-                    sim.belief[:, j], sim.time_since_recovery[:, j]
-                )
-            if profile is not None:
-                profile.add("strategy", perf_counter_ns() - t0)
-            engine.step(sim, recover)
-        return engine.finalize(sim)
+    def simulate(self, strategies, uniforms, profile=None, repeat=1):
+        """The engine's generic step loop (``BatchRecoveryEngine._run_steps``)."""
+        return self.engine._run_steps(strategies, uniforms, profile, repeat=repeat)

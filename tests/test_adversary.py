@@ -52,11 +52,10 @@ from repro.sim import (
     StealthAdversary,
     adversary_from_spec,
     adversary_to_spec,
-    available_backends,
 )
+from repro.sim.kernels import BACKENDS
 
 _MODEL = BetaBinomialObservationModel()
-_EXACT_BACKENDS = [b for b in available_backends() if b in ("fused", "reference")]
 
 #: Engine log fields compared bit-for-bit.
 _LOG_FIELDS = (
@@ -113,12 +112,12 @@ class TestStaticSeamBitExact:
                 horizon=40,
             ),
         ]
-        for backend in _EXACT_BACKENDS:
+        for backend in BACKENDS:
             results = [_run(s, backend, seed, num_episodes=8) for s in scenarios]
             _assert_logs_equal(results[0], results[1])
             _assert_logs_equal(results[0], results[2])
 
-    @pytest.mark.parametrize("backend", _EXACT_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_force_dynamic_bit_exact_across_backends(self, backend):
         r_static = _run(_scenario(None), backend, seed=1234, num_episodes=32)
         r_dynamic = _run(
@@ -129,16 +128,17 @@ class TestStaticSeamBitExact:
         )
         _assert_logs_equal(r_static, r_dynamic)
 
-    @pytest.mark.parametrize("backend", _EXACT_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_two_level_result_parity_static_vs_seam(self, backend):
         results = []
         for adversary in (None, StaticAdversary(force_dynamic=True)):
+            scenario = _scenario(adversary, horizon=60)
             controller = TwoLevelController(
-                _scenario(adversary, horizon=60),
+                scenario,
                 8,
                 ThresholdStrategy(0.75),
                 replication_strategy=ReplicationThresholdStrategy(1),
-                backend=backend,
+                engine=BatchRecoveryEngine(scenario, backend=backend),
             )
             results.append(controller.run(seed=9))
         a, b = results

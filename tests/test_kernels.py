@@ -1,24 +1,28 @@
-"""Tests for the selectable kernel backends (``repro.sim.kernels``, PR 7).
+"""Tests for the kernel backends (``repro.sim.kernels``).
 
-Covers the backend registry and selection precedence, bit-exactness of the
-fused backend against the reference backend (property-based, including the
-degenerate-observation fallback and the belief trellis), the rank-table
-machinery behind the fused run loop, the numba backend's versioned
-tolerance tier (run as pure Python so the contract is testable without the
-optional dependency), and the observability satellites (per-phase profiles,
+Covers the backend registry and selection, bit-exactness of the fused
+backend against the reference backend (property-based, including the
+degenerate-observation fallback and a small observation alphabet), the
+rank-table machinery behind the fused run loop, validation of pre-drawn
+uniform buffers, and the observability satellites (per-phase profiles,
 workspace allocation in ``begin``, the belief-dynamics memo).
 """
 
 from __future__ import annotations
+
+import importlib.util
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.belief as belief_module
+import repro.sim as sim_package
 import repro.sim.kernels.fused as fused_module
 from repro.core import (
     BetaBinomialObservationModel,
+    CachedBeliefDynamics,
     DiscreteObservationModel,
     MultiThresholdStrategy,
     NodeParameters,
@@ -28,26 +32,16 @@ from repro.core import (
 from repro.sim import (
     BatchMultiThreshold,
     BatchRecoveryEngine,
-    CachedBeliefDynamics,
-    EngineProfile,
     FleetScenario,
-    available_backends,
+    StaticAdversary,
     resolve_backend,
 )
-from repro.sim.kernels import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    HAVE_NUMBA,
-    NUMBA_TOLERANCE_TIER,
-    FusedKernel,
-    NumbaKernel,
-)
+from repro.sim.kernels import BACKENDS, DEFAULT_BACKEND, FusedKernel
 
 _OBSERVATION_MODEL = BetaBinomialObservationModel()
 
-#: Small observation alphabet (|O| = 3 <= _MAX_TRELLIS_AUTO_OBS): the fused
-#: backend turns the belief trellis on automatically for this model.
+#: Small observation alphabet (|O| = 3, against BetaBinomial's 11): the
+#: fused backend's rank tables then hold only a few merged CDF values.
 _SMALL_MODEL = DiscreteObservationModel(
     observations=[0, 1, 2],
     healthy_pmf=[0.7, 0.2, 0.1],
@@ -85,51 +79,52 @@ def _assert_results_equal(a, b):
         assert np.array_equal(a.availability, b.availability)
 
 
-def _compare_backends(scenario, strategy, num_episodes=32, seed=3, trellis=None):
+def _compare_backends(scenario, strategy, num_episodes=32, seed=3):
     reference = BatchRecoveryEngine(scenario, backend="reference")
     fused = BatchRecoveryEngine(scenario, backend="fused")
     ref = reference.run(strategy, num_episodes=num_episodes, seed=seed)
-    out = fused.run(strategy, num_episodes=num_episodes, seed=seed, trellis=trellis)
+    out = fused.run(strategy, num_episodes=num_episodes, seed=seed)
     _assert_results_equal(ref, out)
     return ref
 
 
 class TestBackendSelection:
     def test_registry_and_default(self):
-        assert set(BACKENDS) == {"reference", "fused", "numba"}
+        assert set(BACKENDS) == {"reference", "fused"}
         assert DEFAULT_BACKEND == "fused"
-        names = available_backends()
-        assert "reference" in names and "fused" in names
-        assert ("numba" in names) == HAVE_NUMBA
 
     def test_explicit_argument(self):
         engine = BatchRecoveryEngine(_single_node(), backend="reference")
         assert engine.backend == "reference"
         assert type(engine._kernel).__name__ == "ReferenceKernel"
 
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "reference")
-        assert resolve_backend() == "reference"
-        assert BatchRecoveryEngine(_single_node()).backend == "reference"
-        # An explicit argument beats the environment variable.
-        assert BatchRecoveryEngine(_single_node(), backend="fused").backend == "fused"
-
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_default_when_unset(self):
         assert resolve_backend() == DEFAULT_BACKEND
+        assert BatchRecoveryEngine(_single_node()).backend == DEFAULT_BACKEND
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown engine backend"):
             resolve_backend("fortran")
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: no fallback to test")
-    def test_numba_fallback_warns(self):
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            engine = BatchRecoveryEngine(_single_node(), backend="numba")
-        assert engine.backend == "fused"
-
     def test_case_and_whitespace_insensitive(self):
         assert resolve_backend("  Reference ") == "reference"
+
+    @pytest.mark.parametrize("name", ["numba", "trellis"])
+    def test_removed_backends_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            resolve_backend(name)
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            BatchRecoveryEngine(_single_node(), backend=name)
+
+    def test_simulate_ignores_trellis_keyword(self):
+        engine = BatchRecoveryEngine(_single_node(_SMALL_MODEL), backend="fused")
+        strategies = engine._normalize_strategies(ThresholdStrategy(0.75))
+        uniforms = engine.draw_uniforms(5, 64)
+        baseline = engine._simulate(strategies, uniforms)
+        for flag in (True, False):
+            _assert_results_equal(
+                baseline, engine._simulate(strategies, uniforms, trellis=flag)
+            )
 
 
 class TestFusedBitExactness:
@@ -198,6 +193,9 @@ class TestFusedBitExactness:
         _compare_backends(scenario, ThresholdStrategy(alpha), num_episodes=20, seed=seed)
 
     @pytest.mark.parametrize(
+        "model", [_OBSERVATION_MODEL, _SMALL_MODEL], ids=["beta-binomial", "small-alphabet"]
+    )
+    @pytest.mark.parametrize(
         "strategy",
         [
             ThresholdStrategy(0.6),
@@ -206,11 +204,11 @@ class TestFusedBitExactness:
         ],
         ids=["threshold", "multi-threshold", "periodic"],
     )
-    def test_strategy_classes_parity(self, strategy):
-        _compare_backends(_single_node(), strategy, num_episodes=48, seed=11)
+    def test_strategy_classes_parity(self, strategy, model):
+        _compare_backends(_single_node(model), strategy, num_episodes=48, seed=11)
 
     def test_per_episode_thresholds_parity(self):
-        """2-D BatchMultiThreshold is trellis-ineligible but still bit-exact."""
+        """A per-episode (2-D) threshold matrix is bit-exact too."""
         rng = np.random.default_rng(5)
         strategy = BatchMultiThreshold(rng.uniform(0.2, 0.9, size=(48, 3)))
         _compare_backends(_single_node(), strategy, num_episodes=48, seed=11)
@@ -228,27 +226,6 @@ class TestFusedBitExactness:
         )
         ref = _compare_backends(scenario, ThresholdStrategy(0.5), num_episodes=24, seed=2)
         assert ref.availability is not None
-
-
-class TestBeliefTrellis:
-    def test_trellis_on_off_parity(self):
-        """Forced on, forced off and auto all agree with the reference path."""
-        scenario = _single_node(_SMALL_MODEL, horizon=40)
-        strategy = ThresholdStrategy(0.55)
-        for trellis in (True, False, None):
-            _compare_backends(scenario, strategy, num_episodes=64, seed=9, trellis=trellis)
-
-    def test_trellis_cap_materializes(self, monkeypatch):
-        """Hitting the node cap abandons the trellis mid-run, not the results."""
-        monkeypatch.setattr(fused_module, "_MAX_TRELLIS_NODES", 4)
-        scenario = _single_node(_SMALL_MODEL, horizon=40)
-        _compare_backends(scenario, ThresholdStrategy(0.55), num_episodes=64, seed=9, trellis=True)
-
-    def test_trellis_profile_label(self):
-        scenario = _single_node(_SMALL_MODEL, horizon=20)
-        engine = BatchRecoveryEngine(scenario, backend="fused")
-        result = engine.run(ThresholdStrategy(0.5), num_episodes=32, seed=0, profile=True)
-        assert result.profile.backend == "fused+trellis"
 
 
 class TestRankTables:
@@ -304,70 +281,37 @@ class TestRankTables:
             assert np.array_equal(ranks[:, row, 0], expected.reshape(ut.shape))
 
 
-class TestNumbaToleranceTier:
-    """The numba backend's semantics, run as pure Python (force_python)."""
+class TestUniformsValidation:
+    """``run(uniforms=...)`` and ``begin(uniforms=...)`` share one check."""
 
-    def _run(self, scenario, strategy, num_episodes=64, seed=4):
-        engine = BatchRecoveryEngine(scenario, backend="fused")
-        kernel = NumbaKernel(engine, force_python=True)
-        strategies = engine._normalize_strategies(strategy)
-        uniforms = engine.draw_uniforms(seed, num_episodes)
-        return kernel, kernel.simulate(strategies, uniforms)
+    _EPISODES = 8
+    _HORIZON = 50
 
-    def test_tier_is_versioned(self):
-        assert NUMBA_TOLERANCE_TIER["version"] == 1
-        assert NUMBA_TOLERANCE_TIER["determinism"] == "bitwise"
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("entry", ["run", "begin"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(_EPISODES, 2, 2 * _HORIZON), (_EPISODES, 1, 60), (_EPISODES, 2 * _HORIZON)],
+        ids=["two-node-buffer", "narrow-buffer", "two-dimensional"],
+    )
+    def test_malformed_buffer_is_rejected(self, backend, entry, shape):
+        engine = BatchRecoveryEngine(_single_node(horizon=self._HORIZON), backend=backend)
+        uniforms = np.random.default_rng(0).random(shape)
+        with pytest.raises(ValueError, match="uniforms must have shape"):
+            if entry == "run":
+                engine.run(ThresholdStrategy(0.75), uniforms=uniforms)
+            else:
+                engine.begin(uniforms=uniforms)
 
-    def test_statistics_within_tolerance(self):
-        scenario = _single_node(horizon=60)
-        strategy = ThresholdStrategy(0.6)
-        _, numba_result = self._run(scenario, strategy)
-        reference = BatchRecoveryEngine(scenario, backend="reference").run(
-            strategy, num_episodes=64, seed=4
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_wider_buffer_reads_only_its_prefix(self, backend):
+        engine = BatchRecoveryEngine(_single_node(horizon=self._HORIZON), backend=backend)
+        wide = np.random.default_rng(1).random((self._EPISODES, 1, 2 * self._HORIZON + 7))
+        strategy = ThresholdStrategy(0.75)
+        _assert_results_equal(
+            engine.run(strategy, uniforms=wide[:, :, : 2 * self._HORIZON].copy()),
+            engine.run(strategy, uniforms=wide),
         )
-        for name in ("average_cost", "time_to_recovery", "recovery_frequency"):
-            np.testing.assert_allclose(
-                getattr(numba_result, name).mean(),
-                getattr(reference, name).mean(),
-                atol=NUMBA_TOLERANCE_TIER["stat_atol"],
-                rtol=NUMBA_TOLERANCE_TIER["stat_rtol"],
-            )
-
-    def test_same_seed_determinism_is_bitwise(self):
-        scenario = _single_node(horizon=40)
-        strategy = ThresholdStrategy(0.6)
-        _, first = self._run(scenario, strategy)
-        _, second = self._run(scenario, strategy)
-        _assert_results_equal(first, second)
-
-    def test_inexpressible_strategy_uses_fused_path(self):
-        """A per-episode threshold matrix cannot enter the JIT loop."""
-        scenario = _single_node(horizon=30)
-        rng = np.random.default_rng(8)
-        strategy = BatchMultiThreshold(rng.uniform(0.2, 0.9, size=(32, 2)))
-        engine = BatchRecoveryEngine(scenario, backend="fused")
-        kernel = NumbaKernel(engine, force_python=True)
-        result = kernel.simulate(
-            engine._normalize_strategies(strategy), engine.draw_uniforms(1, 32)
-        )
-        reference = BatchRecoveryEngine(scenario, backend="reference").run(
-            strategy, num_episodes=32, seed=1
-        )
-        _assert_results_equal(reference, result)  # fused fallback: bit-exact
-
-    def test_profile_records_jit_loop_phase(self):
-        scenario = _single_node(horizon=20)
-        engine = BatchRecoveryEngine(scenario, backend="fused")
-        kernel = NumbaKernel(engine, force_python=True)
-        profile = EngineProfile()
-        kernel.simulate(
-            engine._normalize_strategies(ThresholdStrategy(0.6)),
-            engine.draw_uniforms(0, 16),
-            profile=profile,
-        )
-        assert profile.backend == "numba(python)"
-        assert profile.nanos["jit_loop"] > 0
-        assert profile.steps == 20
 
 
 class TestObservability:
@@ -377,7 +321,7 @@ class TestObservability:
         profile = result.profile
         assert profile is not None
         assert profile.steps == 40
-        assert profile.backend.startswith("fused")
+        assert profile.backend == "fused"
         for phase in ("strategy", "transition_sample", "observation_draw", "belief_update"):
             assert profile.nanos[phase] > 0
         assert profile.total_ns == sum(ns for _, ns in profile.nanos.items())
@@ -406,6 +350,22 @@ class TestObservability:
         assert sim.profile is not None
         assert sim.profile.nanos["belief_update"] > 0
 
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_dynamic_path_profiles_strategy_phase(self, backend):
+        scenario = FleetScenario.single_node(
+            NodeParameters(p_a=0.1, delta_r=8),
+            _OBSERVATION_MODEL,
+            horizon=40,
+            adversary=StaticAdversary(force_dynamic=True),
+        )
+        engine = BatchRecoveryEngine(scenario, backend=backend)
+        assert engine.is_dynamic
+        result = engine.run(ThresholdStrategy(0.6), num_episodes=16, seed=0, profile=True)
+        assert result.profile.backend == backend
+        assert result.profile.steps == 40
+        for phase in ("strategy", "transition_sample", "belief_update"):
+            assert result.profile.nanos[phase] > 0
+
     def test_uniforms_memoized_per_seed(self):
         engine = BatchRecoveryEngine(_single_node(), backend="fused")
         first = engine.draw_uniforms(0, 16)
@@ -415,6 +375,11 @@ class TestObservability:
 
 
 class TestCachedBeliefDynamics:
+    def test_lives_in_core_without_sim_shim(self):
+        assert CachedBeliefDynamics is belief_module.CachedBeliefDynamics
+        assert not hasattr(sim_package, "CachedBeliefDynamics")
+        assert importlib.util.find_spec("repro.sim.kernels.trellis") is None
+
     def test_memoization_counters(self):
         cache = CachedBeliefDynamics()
         calls = []

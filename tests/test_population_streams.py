@@ -30,10 +30,9 @@ from repro.sim import (
     FleetScenario,
     StaticAdversary,
 )
-from repro.sim.kernels import NumbaKernel
 
 _WIDE_MODEL = BetaBinomialObservationModel()
-#: |O| = 3: small enough for the fused backend's belief trellis.
+#: |O| = 3: a small observation alphabet for the fused kernel's rank tables.
 _SMALL_MODEL = DiscreteObservationModel(
     observations=[0, 1, 2],
     healthy_pmf=[0.7, 0.2, 0.1],
@@ -41,15 +40,13 @@ _SMALL_MODEL = DiscreteObservationModel(
 )
 _HORIZON = 40
 
-#: name -> (backend, observation model, adversary, trellis for the
-#: per-candidate runs, numba loop as pure Python).
+#: name -> (backend, observation model, adversary).
 _LEGS = {
-    "fused-trellis": ("fused", _SMALL_MODEL, None, True, False),
-    "fused-table": ("fused", _WIDE_MODEL, None, None, False),
-    "reference": ("reference", _WIDE_MODEL, None, None, False),
-    "numba-python": ("fused", _WIDE_MODEL, None, None, True),
-    "force-dynamic": ("fused", _WIDE_MODEL, StaticAdversary(force_dynamic=True), None, False),
-    "bursty": ("fused", _WIDE_MODEL, BurstyAdversary(), None, False),
+    "fused-small-alphabet": ("fused", _SMALL_MODEL, None),
+    "fused-table": ("fused", _WIDE_MODEL, None),
+    "reference": ("reference", _WIDE_MODEL, None),
+    "force-dynamic": ("fused", _WIDE_MODEL, StaticAdversary(force_dynamic=True)),
+    "bursty": ("fused", _WIDE_MODEL, BurstyAdversary()),
 }
 
 _RESULT_FIELDS = (
@@ -63,7 +60,7 @@ _RESULT_FIELDS = (
 
 
 def _engine(leg: str, delta_r: float, num_nodes: int = 1, horizon: int = _HORIZON):
-    backend, model, adversary, _, numba_python = _LEGS[leg]
+    backend, model, adversary = _LEGS[leg]
     scenario = FleetScenario.homogeneous(
         NodeParameters(p_a=0.2, delta_r=delta_r),
         model,
@@ -72,10 +69,7 @@ def _engine(leg: str, delta_r: float, num_nodes: int = 1, horizon: int = _HORIZO
         f=0 if num_nodes == 1 else 1,
         adversary=adversary,
     )
-    engine = BatchRecoveryEngine(scenario, backend=backend)
-    if numba_python:
-        engine._kernel = NumbaKernel(engine, force_python=True)
-    return engine
+    return BatchRecoveryEngine(scenario, backend=backend)
 
 
 def _candidates(num_candidates: int, delta_r: float) -> np.ndarray:
@@ -103,13 +97,11 @@ class TestPopulationParity:
         engine = _engine(leg, delta_r)
         thetas = _candidates(num_candidates, delta_r)
         population = engine.run_threshold_population(thetas, num_episodes, seed=11)
-        trellis = _LEGS[leg][3]
         separate = [
             engine.run(
                 MultiThresholdStrategy.from_vector(theta, delta_r=delta_r),
                 num_episodes=num_episodes,
                 seed=11,
-                trellis=trellis,
             ).average_cost[:, 0].mean()
             for theta in thetas
         ]
@@ -152,20 +144,17 @@ class TestPopulationParity:
                 engine.step(sim, recover)
             _assert_results_equal(tiled, engine.finalize(sim))
 
-    @pytest.mark.parametrize("trellis", [True, False], ids=["trellis", "table"])
     @pytest.mark.parametrize("num_nodes", [1, 3, 6], ids=["N1", "N3-rank", "N6-flat"])
-    def test_fused_driver_repeat_equals_tiled_buffer(self, num_nodes, trellis):
+    def test_fused_driver_repeat_equals_tiled_buffer(self, num_nodes):
         """The fused driver's row map matches the tiled layout on every path."""
-        engine = _engine("fused-trellis", 8.0, num_nodes=num_nodes)
+        engine = _engine("fused-small-alphabet", 8.0, num_nodes=num_nodes)
         kernel = engine._kernel
         strategies = engine._normalize_strategies(
             MultiThresholdStrategy.from_vector([0.3, 0.6, 0.8], delta_r=8.0)
         )
         uniforms = engine.draw_uniforms(2, 9)
-        shared = kernel.simulate(strategies, uniforms, trellis=trellis, repeat=4)
-        tiled = kernel.simulate(
-            strategies, np.tile(uniforms, (4, 1, 1)), trellis=trellis
-        )
+        shared = kernel.simulate(strategies, uniforms, repeat=4)
+        tiled = kernel.simulate(strategies, np.tile(uniforms, (4, 1, 1)))
         _assert_results_equal(tiled, shared)
 
     def test_repeat_must_be_positive(self):

@@ -12,8 +12,9 @@ This module runs a mixed Table-6-style grid through
 per-class dictionaries) is bit-exact between the two.  The wall-clock
 speedup is measured and reported as sustained cells/second; the >= 2x
 assertion at 4 workers only fires when the machine actually exposes 4
-cores (CI runners do — a single-core box cannot speed anything up, but
-its parity check is just as binding).
+cores (CI runners do).  On a smaller machine the parity check is just as
+binding, and the test then ends as a visible skip that records the
+measured ratio and the core count.
 
 The policy-cache benchmark asserts the second
 :func:`~repro.control.sysid.identify_replication_strategies` call on an
@@ -29,6 +30,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.control import (
     ClosedLoopCell,
@@ -162,9 +164,9 @@ def test_parallel_sweep_parity_and_speedup(table_printer):
             f"sharded sweep only {speedup:.2f}x over serial on {cores} cores"
         )
     else:
-        print(
-            f"speedup assertion skipped: only {cores} core(s) available "
-            f"(measured {speedup:.2f}x); parity asserted above"
+        pytest.skip(
+            f"speedup gate needs {N_JOBS} cores, {cores} available "
+            f"(measured {speedup:.2f}x at n_jobs={N_JOBS}); parity asserted"
         )
 
 

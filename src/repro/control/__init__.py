@@ -28,8 +28,10 @@ package closes that loop on the batched simulation path:
   Table 7 / Figure 12 benchmarks run on, including the heterogeneous
   mixed-fleet sweep (:func:`mixed_closed_loop_sweep`) and the
   attacker-intensity sweep (:func:`attacker_intensity_sweep`); every
-  sweep takes ``n_jobs=`` to shard its episodes across worker processes
-  (:mod:`~repro.control.parallel`) with bit-identical results;
+  sweep runs through the one sharded runner of
+  :mod:`~repro.control.parallel`, whose ``n_jobs=`` spreads the episode
+  shards across worker processes (in-process at ``n_jobs=1``) with
+  bit-identical results;
 * :mod:`~repro.control.policy_cache` — the fitted-model-keyed cache of
   Algorithm 2 / Lagrangian solves (:class:`PolicySolveCache`): refits
   that reproduce an already-solved kernel skip the solver entirely.
@@ -62,10 +64,11 @@ Layer contract
   :meth:`TwoLevelController.run_scalar_reference`; decision traces are
   asserted bit-identical under shared seeds
   (``tests/test_control_plane.py``, ``tests/test_class_aware_cmdp.py``).
-* **Seeding convention (PR 1):** one ``SeedSequence(seed)`` tree feeds the
-  engine's per-(episode, node) children first and the per-episode system
-  controller streams after them, so a single integer seed reproduces the
-  whole closed loop on either path.
+* **Seeding convention (PR 1):** one ``SeedSequence`` tree per seed
+  (:mod:`repro.sim.streams`) feeds the engine's per-(episode, node)
+  children first and the per-episode system controller streams after
+  them, so a single integer seed reproduces the whole closed loop on
+  either path; ``seed=None`` draws one fresh entropy for the whole tree.
 
 Quickstart::
 
@@ -98,7 +101,6 @@ from .consensus_loop import (
     ConsensusSafetyError,
 )
 from .parallel import (
-    SharedResultStore,
     parallel_closed_loop_table,
     parallel_engine_sweep_table,
     shard_episodes,
@@ -159,7 +161,6 @@ __all__ = [
     "PPOReplicationResult",
     "PPOReplicationStrategy",
     "PolicySolveCache",
-    "SharedResultStore",
     "SystemIdentificationResult",
     "SystemTrace",
     "TwoLevelController",

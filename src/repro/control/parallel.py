@@ -1,36 +1,31 @@
-"""Sharded multi-process execution of the control-plane sweeps.
+"""Sharded execution of the control-plane sweeps: the one way a sweep runs.
 
 Every sweep in :mod:`repro.control.sweep` is embarrassingly parallel over
-episodes: the engine's per-(episode, node) uniform streams and the system
-controller's per-episode streams are independent children of one
-``SeedSequence`` tree, and every per-episode metric is a row-wise
-reduction.  This module fans that work out to worker processes:
+episodes: the engine's per-(episode, node) uniform streams, the system
+controllers' per-episode streams and a dynamic adversary's per-episode rows
+are independent parts of one ``SeedSequence`` tree
+(:mod:`repro.sim.streams`), and every per-episode metric is a row-wise
+reduction.  This module runs that work as shard tasks:
 
 * **Contiguous episode shards.**  ``num_envs`` episodes are partitioned
-  into ``n_jobs`` contiguous ``[lo, hi)`` shards (:func:`shard_episodes`);
-  each ``(scenario, cell, shard)`` triple is one work item on a process
-  pool, so a grid with more cells than workers keeps every core busy.
-* **Deterministic per-worker seed subtrees.**  The serial path consumes
-  children ``0 .. B*N-1`` of ``SeedSequence(seed)`` for the engine
-  (episode-major) and children ``B*N + b`` for episode ``b``'s system
-  controller.  A worker reconstructs exactly the children its shard owns
-  via the spawn-key identity ``SeedSequence(seed).spawn(n)[i] ==
-  SeedSequence(seed, spawn_key=(i,))`` (:func:`spawned_child`) — no
-  serial pre-spawn, no stream handoff — so **any shard count reproduces
-  the single-process result bit for bit** under a fixed seed.
-* **Shared-memory result arrays.**  The parent allocates one
-  ``multiprocessing.shared_memory`` block per sweep with a named slot for
-  every per-episode metric array (:class:`SharedResultStore`); workers
-  attach and write their ``[lo, hi)`` rows in place.  Only tiny
-  :class:`~repro.sim.kernels.EngineProfile` objects travel back through
-  the pool — per-episode logs are never pickled.
-* **Profile merge at join.**  Each shard runs with engine profiling and
-  the parent folds the per-shard phase timings into one profile per cell
-  via :meth:`~repro.sim.kernels.EngineProfile.merge`.
+  into contiguous ``[lo, hi)`` shards (:func:`shard_episodes`); each
+  ``(scenario, cell, shard)`` triple is one task, so a grid with more cells
+  than workers keeps every core busy.
+* **One seed tree per sweep.**  The parent resolves one root entropy
+  (``seed=None`` draws fresh OS entropy once) and a shard regenerates only
+  rows ``[lo, hi)`` of each part of the tree.  Every column of a table
+  therefore sees the same episode streams (common random numbers), and
+  **any shard count reproduces a direct** ``engine.run(seed=...)`` /
+  ``TwoLevelController.run(seed=...)`` **bit for bit**.
+* **Results by value.**  A shard task returns its
+  :class:`~repro.control.two_level.TwoLevelResult` /
+  :class:`~repro.sim.BatchSimulationResult`; the parent concatenates one
+  cell's row blocks in ``lo`` order and folds the shards' engine profiles
+  together with :meth:`~repro.sim.kernels.EngineProfile.merge`.
+* **One path for every** ``n_jobs``.  With one worker (or one task) the
+  identical shard code runs in-process, without a pool.
 
-``seed=None`` draws fresh OS entropy once in the parent (the run is
-non-reproducible, matching the serial convention, but all shards still
-share one tree).  Strategies, policies and scenarios must be picklable —
+Strategies, policies and scenarios must be picklable for ``n_jobs > 1`` —
 everything the repo ships is; ad-hoc lambdas are not.
 
 The entry points are the ``n_jobs=`` parameters of
@@ -44,33 +39,30 @@ the multi-core speedup.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import os
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..sim import BatchRecoveryEngine, BatchSimulationResult, FleetScenario
+from ..sim import BatchRecoveryEngine, FleetScenario
 from ..sim.adversary import draw_adversary_uniforms
 from ..sim.kernels import EngineProfile
-from .two_level import TwoLevelController, TwoLevelResult
+from ..sim.streams import engine_uniforms, resolve_entropy, system_seed_sequences
+from .two_level import TwoLevelController
 from .vector_system import strategy_consumes_rng
 
 __all__ = [
     "validate_n_jobs",
     "shard_episodes",
-    "resolve_root_entropy",
-    "spawned_child",
     "shard_uniforms",
-    "SharedResultStore",
     "parallel_closed_loop_table",
     "parallel_engine_sweep_table",
 ]
 
 
-# -- sharding and seeding contract -----------------------------------------------
+# -- sharding contract -------------------------------------------------------------
 def validate_n_jobs(n_jobs: int) -> int:
     """Validate the worker count of a parallel entry point.
 
@@ -104,188 +96,51 @@ def shard_episodes(num_episodes: int, num_shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def resolve_root_entropy(seed: int | None) -> int:
-    """Entropy of the shared root ``SeedSequence`` of one sweep.
-
-    An integer seed is its own entropy (``SeedSequence(seed)``); ``None``
-    draws OS entropy once in the parent so that every shard of the run
-    still descends from one tree (the run itself is non-reproducible,
-    matching the serial ``seed=None`` convention).
-    """
-    if seed is None:
-        return np.random.SeedSequence().entropy
-    return seed
-
-
-def spawned_child(entropy: int, index: int) -> np.random.SeedSequence:
-    """Child ``index`` of ``SeedSequence(entropy)``, without spawning.
-
-    The spawn-key identity ``SeedSequence(e).spawn(n)[i] ==
-    SeedSequence(e, spawn_key=(i,))`` lets every worker reconstruct
-    exactly the subtree its shard owns without replaying the serial
-    spawn sequence — the contract that makes sharded randomness
-    bit-identical to the single-process run.
-    """
-    return np.random.SeedSequence(entropy, spawn_key=(index,))
-
-
 def shard_uniforms(
     entropy: int, lo: int, hi: int, num_nodes: int, width: int
 ) -> np.ndarray:
     """Engine uniform rows for episodes ``[lo, hi)`` of the full batch.
 
-    Reproduces rows ``lo:hi`` of
-    :meth:`~repro.sim.BatchRecoveryEngine.draw_uniforms` for the same
-    seed: stream ``(b, j)`` is child ``b * N + j`` of the root
-    (episode-major), so a shard regenerates only its own streams.
+    Rows ``lo:hi`` of :meth:`~repro.sim.BatchRecoveryEngine.draw_uniforms`
+    for the same seed (:func:`repro.sim.streams.engine_uniforms`); shards
+    look this function up by name at call time.
     """
-    count = (hi - lo) * num_nodes
-    buffer = np.empty((count, width))
-    start = lo * num_nodes
-    for row in range(count):
-        buffer[row] = np.random.default_rng(
-            spawned_child(entropy, start + row)
-        ).random(width)
-    return buffer.reshape(hi - lo, num_nodes, width)
-
-
-# -- shared-memory result arrays --------------------------------------------------
-@dataclass(frozen=True)
-class _ArraySpec:
-    """Placement of one named result array inside the shared block."""
-
-    offset: int
-    shape: tuple[int, ...]
-    dtype: str
-
-
-class SharedResultStore:
-    """Named per-episode result arrays backed by one shared-memory block.
-
-    The parent :meth:`allocate`\\ s the block from a ``key -> (shape,
-    dtype)`` layout before the pool starts; workers :meth:`attach` via the
-    picklable :meth:`descriptor` and write their episode rows in place —
-    the join step never unpickles a result array.  Keys are arbitrary
-    hashable tuples (the sweeps use ``(scenario_index, cell_index,
-    metric)``).
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        specs: dict,
-        owner: bool,
-    ) -> None:
-        self._shm = shm
-        self._specs = specs
-        self._owner = owner
-
-    @classmethod
-    def allocate(cls, layout: Mapping) -> "SharedResultStore":
-        """Create the block for a ``key -> (shape, dtype)`` layout."""
-        specs: dict = {}
-        offset = 0
-        for key, (shape, dtype) in layout.items():
-            dtype = np.dtype(dtype)
-            size = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            # 8-byte alignment keeps every float64/int64 view aligned.
-            offset = (offset + 7) // 8 * 8
-            specs[key] = _ArraySpec(offset, tuple(int(s) for s in shape), dtype.str)
-            offset += size
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        return cls(shm, specs, owner=True)
-
-    def descriptor(self) -> tuple[str, dict]:
-        """Picklable ``(name, specs)`` handle workers attach with."""
-        return self._shm.name, self._specs
-
-    @classmethod
-    def attach(
-        cls, descriptor: tuple[str, dict], unregister: bool = False
-    ) -> "SharedResultStore":
-        """Attach to a block allocated by the parent (worker side).
-
-        Python < 3.13 registers every attach with the process's resource
-        tracker.  Under ``fork`` the tracker is shared with the parent, so
-        the duplicate registration is a set no-op and the parent's
-        ``unlink`` settles the books.  Under ``spawn``/``forkserver`` the
-        worker has its *own* tracker, which would try to unlink the
-        parent-owned block again at worker exit — pass
-        ``unregister=True`` there to drop the spurious registration.
-        """
-        name, specs = descriptor
-        shm = shared_memory.SharedMemory(name=name)
-        if unregister:
-            try:  # pragma: no cover - depends on interpreter internals
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-        return cls(shm, specs, owner=False)
-
-    def array(self, key) -> np.ndarray:
-        """NumPy view of one named array inside the block."""
-        spec = self._specs[key]
-        return np.ndarray(
-            spec.shape, dtype=np.dtype(spec.dtype), buffer=self._shm.buf, offset=spec.offset
-        )
-
-    def keys(self):
-        return self._specs.keys()
-
-    def close(self) -> None:
-        """Detach; the owning (parent) handle also unlinks the block."""
-        try:
-            self._shm.close()
-        finally:
-            if self._owner:
-                self._shm.unlink()
+    return engine_uniforms(entropy, lo, hi, num_nodes, width)
 
 
 # -- worker-side execution ---------------------------------------------------------
-#: Per-worker state set up by the pool initializer: the sweep spec, the
-#: attached result store, and memos for compiled engines / uniform shards
-#: so multiple cells of one scenario reuse them within a worker.
+#: Per-worker state set up by the pool initializer: the sweep spec and memos
+#: for compiled engines / uniform shards so multiple cells of one scenario
+#: reuse them within a worker.
 _WORKER: dict = {}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _ClosedLoopSpec:
     """Everything a worker needs to run closed-loop shards (picklable)."""
 
-    scenarios: tuple  # ((key, FleetScenario), ...)
+    scenarios: tuple  # (FleetScenario, ...)
     cells: tuple  # (ClosedLoopCell, ...)
     num_envs: int
     k: int
     initial_nodes: tuple  # one entry (int | None) per scenario
     entropy: int
-    store: tuple  # SharedResultStore descriptor
     profile: bool
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _EngineSweepSpec:
     """Everything a worker needs to run engine-sweep shards (picklable)."""
 
-    scenarios: tuple  # ((key, FleetScenario), ...)
-    strategies: tuple  # ((name, strategy), ...)
-    num_episodes: int
+    scenarios: tuple  # (FleetScenario, ...)
+    strategies: tuple  # (strategy, ...)
     entropy: int
-    store: tuple
     profile: bool
 
 
-def _init_worker(spec, store=None, unregister: bool = False) -> None:
+def _init_worker(spec) -> None:
     _WORKER.clear()
     _WORKER["spec"] = spec
-    # The in-process path hands the parent-owned store straight in; pool
-    # workers attach via the picklable descriptor.
-    _WORKER["store"] = (
-        store
-        if store is not None
-        else SharedResultStore.attach(spec.store, unregister=unregister)
-    )
     _WORKER["engines"] = {}
     _WORKER["uniforms"] = {}
 
@@ -319,11 +174,9 @@ def _shard_adversary_uniforms(
 ) -> np.ndarray | None:
     """Adversary uniform rows for episodes ``[lo, hi)`` of the full batch.
 
-    Rows of the adversary buffer are per-episode streams (salted
-    ``SeedSequence`` per episode, see :mod:`repro.sim.adversary`), so a
-    shard regenerates exactly its own slice of the monolithic draw.  The
-    buffers are small (``(hi - lo, horizon, K)``) and adversary-dependent,
-    so they deliberately bypass the geometry-keyed engine-uniform memo.
+    The buffers are small (``(hi - lo, horizon, K)``) and
+    adversary-dependent, so they deliberately bypass the geometry-keyed
+    engine-uniform memo.
     """
     if not engine.is_dynamic:
         return None
@@ -336,13 +189,9 @@ def _shard_adversary_uniforms(
 def _run_closed_loop_shard(task: tuple[int, int, int, int]):
     scenario_index, cell_index, lo, hi = task
     spec: _ClosedLoopSpec = _WORKER["spec"]
-    store: SharedResultStore = _WORKER["store"]
-    key, scenario = spec.scenarios[scenario_index]
+    scenario = spec.scenarios[scenario_index]
     cell = spec.cells[cell_index]
     engine = _worker_engine(scenario_index, scenario)
-    uniforms = _worker_uniforms(
-        spec.entropy, lo, hi, scenario.num_nodes, 2 * scenario.horizon
-    )
     controller = TwoLevelController(
         scenario,
         hi - lo,
@@ -356,75 +205,32 @@ def _run_closed_loop_shard(task: tuple[int, int, int, int]):
     )
     sequences = None
     if cell.replication is not None and strategy_consumes_rng(cell.replication):
-        # The serial run hands child B*N + b to episode b's controller.
-        offset = spec.num_envs * scenario.num_nodes
-        sequences = [spawned_child(spec.entropy, offset + b) for b in range(lo, hi)]
-    result = controller.run(
-        uniforms=uniforms,
+        sequences = system_seed_sequences(
+            spec.entropy, spec.num_envs, scenario.num_nodes, lo, hi
+        )
+    return controller.run(
+        uniforms=_worker_uniforms(
+            spec.entropy, lo, hi, scenario.num_nodes, 2 * scenario.horizon
+        ),
         system_seed_sequences=sequences,
         profile=spec.profile,
         adversary_uniforms=_shard_adversary_uniforms(engine, spec.entropy, lo, hi),
     )
-    for metric in _CLOSED_LOOP_METRICS:
-        store.array((scenario_index, cell_index, metric))[lo:hi] = getattr(
-            result, metric
-        )
-    if result.class_average_cost is not None:
-        for label, values in result.class_average_cost.items():
-            store.array((scenario_index, cell_index, "class_cost", label))[lo:hi] = values
-        for label, values in result.class_recovery_frequency.items():
-            store.array((scenario_index, cell_index, "class_recovery", label))[
-                lo:hi
-            ] = values
-    return scenario_index, cell_index, result.steps, result.profile
 
 
 def _run_engine_shard(task: tuple[int, int, int, int]):
     scenario_index, strategy_index, lo, hi = task
     spec: _EngineSweepSpec = _WORKER["spec"]
-    store: SharedResultStore = _WORKER["store"]
-    key, scenario = spec.scenarios[scenario_index]
-    _, strategy = spec.strategies[strategy_index]
+    scenario = spec.scenarios[scenario_index]
     engine = _worker_engine(scenario_index, scenario)
-    uniforms = _worker_uniforms(
-        spec.entropy, lo, hi, scenario.num_nodes, 2 * scenario.horizon
-    )
-    result = engine.run(
-        strategy,
-        uniforms=uniforms,
+    return engine.run(
+        spec.strategies[strategy_index],
+        uniforms=_worker_uniforms(
+            spec.entropy, lo, hi, scenario.num_nodes, 2 * scenario.horizon
+        ),
         profile=spec.profile or None,
         adversary_uniforms=_shard_adversary_uniforms(engine, spec.entropy, lo, hi),
     )
-    for metric in _ENGINE_METRICS:
-        store.array((scenario_index, strategy_index, metric))[lo:hi] = getattr(
-            result, metric
-        )
-    if result.availability is not None:
-        store.array((scenario_index, strategy_index, "availability"))[lo:hi] = (
-            result.availability
-        )
-    return scenario_index, strategy_index, result.steps, result.profile
-
-
-#: Per-episode metric fields of a TwoLevelResult, with their dtypes.
-_CLOSED_LOOP_METRICS: dict[str, str] = {
-    "availability": "<f8",
-    "average_nodes": "<f8",
-    "average_cost": "<f8",
-    "recovery_frequency": "<f8",
-    "additions": "<i8",
-    "emergency_additions": "<i8",
-    "evictions": "<i8",
-}
-
-#: Per-(episode, node) metric fields of a BatchSimulationResult.
-_ENGINE_METRICS: dict[str, str] = {
-    "average_cost": "<f8",
-    "time_to_recovery": "<f8",
-    "recovery_frequency": "<f8",
-    "num_recoveries": "<i8",
-    "num_compromises": "<i8",
-}
 
 
 # -- parent-side drivers -----------------------------------------------------------
@@ -455,6 +261,64 @@ def _effective_jobs(n_jobs: int, num_tasks: int) -> int:
     return max(1, min(n_jobs, num_tasks, (os.cpu_count() or 1) * 4))
 
 
+def _check_unique(keys: Sequence, kind: str) -> None:
+    """Reject a repeated table key, which would silently drop a cell."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"duplicate {kind} {key!r}: every table key must be unique")
+        seen.add(key)
+
+
+def _concatenate(parts: list):
+    """Join one cell's shard results, in ``lo`` order, along the episodes.
+
+    Arrays and per-class dictionaries of arrays are concatenated, the
+    episode length must agree across shards, and engine profiles are
+    merged.
+    """
+    first = parts[0]
+    if any(part.steps != first.steps for part in parts):
+        raise ValueError(
+            f"shards disagree on the episode length: {[p.steps for p in parts]}"
+        )
+    joined = {}
+    for field in dataclasses.fields(first):
+        values = [getattr(part, field.name) for part in parts]
+        head = values[0]
+        if isinstance(head, np.ndarray):
+            joined[field.name] = np.concatenate(values)
+        elif isinstance(head, dict):
+            joined[field.name] = {
+                label: np.concatenate([value[label] for value in values])
+                for label in head
+            }
+        elif isinstance(head, EngineProfile):
+            joined[field.name] = EngineProfile.merge(*values)
+        else:
+            joined[field.name] = head
+    return type(first)(**joined)
+
+
+def _run_grid(spec, runner, row_keys, columns, num_episodes: int, n_jobs: int) -> dict:
+    """Run every ``(row, column)`` cell of a sweep grid, keyed ``(row, column)``."""
+    if not row_keys or not columns:
+        return {}
+    shards = _plan_shards(num_episodes, n_jobs, len(row_keys) * len(columns))
+    # Shard geometry varies slowest within a scenario so consecutive tasks
+    # on one worker hit its uniform-buffer memo across columns.
+    tasks = [
+        (i, j, lo, hi)
+        for i in range(len(row_keys))
+        for lo, hi in shards
+        for j in range(len(columns))
+    ]
+    blocks: dict = {}
+    for (i, j, _, _), result in zip(tasks, _map_tasks(spec, runner, tasks, n_jobs)):
+        blocks.setdefault((row_keys[i], columns[j]), []).append(result)
+    return {key: _concatenate(parts) for key, parts in blocks.items()}
+
+
 def parallel_closed_loop_table(
     scenarios: Sequence[tuple[object, FleetScenario]],
     cells: Sequence,
@@ -465,104 +329,53 @@ def parallel_closed_loop_table(
     n_jobs: int,
     profile: bool = False,
 ) -> dict:
-    """Run a keyed closed-loop sweep grid across worker processes.
+    """Run a keyed closed-loop sweep grid, keyed ``(scenario key, cell name)``.
 
-    The sharded counterpart of the serial ``_run_cells`` loops in
-    :mod:`repro.control.sweep`: every ``(scenario, cell)`` pair's
-    ``num_envs`` episodes are split into contiguous shards, each shard
-    runs a :class:`~repro.control.two_level.TwoLevelController` over its
-    own seed subtree, per-episode metrics land in shared memory, and the
-    join assembles one :class:`~repro.control.two_level.TwoLevelResult`
-    per pair with the shards' engine profiles merged.  Bit-identical to
-    the serial table for any ``n_jobs`` under a fixed seed.
+    Every ``(scenario, cell)`` pair's ``num_envs`` episodes are split into
+    contiguous shards, each shard runs a
+    :class:`~repro.control.two_level.TwoLevelController` over its own rows
+    of the seed tree, and the join assembles one
+    :class:`~repro.control.two_level.TwoLevelResult` per pair with the
+    shards' engine profiles merged.  Bit-identical to a direct
+    ``TwoLevelController(...).run(seed=seed)`` per pair for any ``n_jobs``.
+
+    Raises:
+        ValueError: For an invalid ``n_jobs``, a repeated scenario key or
+            cell name, or a per-scenario ``initial_nodes`` of the wrong
+            length.
     """
     n_jobs = validate_n_jobs(n_jobs)
-    scenarios = tuple((key, scenario) for key, scenario in scenarios)
+    scenarios = tuple(scenarios)
+    keys = [key for key, _ in scenarios]
     cells = tuple(cells)
-    if not scenarios or not cells:
-        return {}
+    _check_unique(keys, "scenario key")
+    _check_unique([cell.name for cell in cells], "cell name")
     if isinstance(initial_nodes, (list, tuple)):
         initial = tuple(initial_nodes)
-        if len(initial) != len(scenarios):
+        if len(initial) != len(keys):
             raise ValueError(
                 f"need one initial_nodes entry per scenario "
-                f"({len(scenarios)}), got {len(initial)}"
+                f"({len(keys)}), got {len(initial)}"
             )
     else:
-        initial = (initial_nodes,) * len(scenarios)
-    entropy = resolve_root_entropy(seed)
-    shards = _plan_shards(num_envs, n_jobs, len(scenarios) * len(cells))
-
-    layout: dict = {}
-    class_labels: dict[int, list[str]] = {}
-    for i, (_, scenario) in enumerate(scenarios):
-        labels = list(scenario.class_slots()) if scenario.node_labels is not None else []
-        class_labels[i] = labels
-        for j in range(len(cells)):
-            for metric, dtype in _CLOSED_LOOP_METRICS.items():
-                layout[(i, j, metric)] = ((num_envs,), dtype)
-            for label in labels:
-                layout[(i, j, "class_cost", label)] = ((num_envs,), "<f8")
-                layout[(i, j, "class_recovery", label)] = ((num_envs,), "<f8")
-
-    store = SharedResultStore.allocate(layout)
-    # Shard geometry varies slowest so consecutive tasks on one worker hit
-    # its uniform-buffer memo across cells.
-    tasks = [
-        (i, j, lo, hi)
-        for i in range(len(scenarios))
-        for lo, hi in shards
-        for j in range(len(cells))
-    ]
+        initial = (initial_nodes,) * len(keys)
     spec = _ClosedLoopSpec(
-        scenarios=scenarios,
+        scenarios=tuple(scenario for _, scenario in scenarios),
         cells=cells,
         num_envs=num_envs,
         k=k,
         initial_nodes=initial,
-        entropy=entropy,
-        store=store.descriptor(),
+        entropy=resolve_entropy(seed),
         profile=profile,
     )
-    try:
-        outcomes = _map_tasks(spec, _run_closed_loop_shard, tasks, n_jobs, store)
-        table: dict = {}
-        for i, (key, scenario) in enumerate(scenarios):
-            for j, cell in enumerate(cells):
-                steps = max(
-                    s for si, sj, s, _ in outcomes if (si, sj) == (i, j)
-                )
-                merged = EngineProfile.merge(
-                    *(p for si, sj, _, p in outcomes if (si, sj) == (i, j))
-                )
-                labels = class_labels[i]
-                table[(key, cell.name)] = TwoLevelResult(
-                    **{
-                        metric: store.array((i, j, metric)).copy()
-                        for metric in _CLOSED_LOOP_METRICS
-                    },
-                    steps=steps,
-                    class_average_cost=(
-                        {
-                            label: store.array((i, j, "class_cost", label)).copy()
-                            for label in labels
-                        }
-                        if labels
-                        else None
-                    ),
-                    class_recovery_frequency=(
-                        {
-                            label: store.array((i, j, "class_recovery", label)).copy()
-                            for label in labels
-                        }
-                        if labels
-                        else None
-                    ),
-                    profile=merged if profile else None,
-                )
-        return table
-    finally:
-        store.close()
+    return _run_grid(
+        spec,
+        _run_closed_loop_shard,
+        keys,
+        [cell.name for cell in cells],
+        num_envs,
+        n_jobs,
+    )
 
 
 def parallel_engine_sweep_table(
@@ -573,91 +386,44 @@ def parallel_engine_sweep_table(
     n_jobs: int,
     profile: bool = False,
 ) -> dict:
-    """Run a keyed node-POMDP engine sweep across worker processes.
+    """Run a keyed node-POMDP engine sweep, keyed ``(scenario key, strategy name)``.
 
-    The sharded counterpart of
-    :func:`~repro.control.sweep.engine_fleet_sweep`'s inner loop: each
-    shard replays its episode rows of the shared uniform buffer through
-    :meth:`~repro.sim.BatchRecoveryEngine.run`, writes the per-(episode,
-    node) statistics into shared memory, and the join assembles
-    bit-identical :class:`~repro.sim.BatchSimulationResult` tables.
+    Each shard replays its episode rows of the shared uniform buffer
+    through :meth:`~repro.sim.BatchRecoveryEngine.run`, and the join
+    assembles :class:`~repro.sim.BatchSimulationResult` tables bit-identical
+    to a direct ``engine.run(strategy, num_episodes, seed=seed)`` per pair.
+
+    Raises:
+        ValueError: For an invalid ``n_jobs`` or a repeated scenario key.
     """
     n_jobs = validate_n_jobs(n_jobs)
-    scenarios = tuple((key, scenario) for key, scenario in scenarios)
-    strategy_items = tuple(strategies.items())
-    if not scenarios or not strategy_items:
-        return {}
-    entropy = resolve_root_entropy(seed)
-    shards = _plan_shards(num_episodes, n_jobs, len(scenarios) * len(strategy_items))
-
-    layout: dict = {}
-    for i, (_, scenario) in enumerate(scenarios):
-        for j in range(len(strategy_items)):
-            for metric, dtype in _ENGINE_METRICS.items():
-                layout[(i, j, metric)] = ((num_episodes, scenario.num_nodes), dtype)
-            if scenario.f is not None:
-                layout[(i, j, "availability")] = ((num_episodes,), "<f8")
-
-    store = SharedResultStore.allocate(layout)
-    tasks = [
-        (i, j, lo, hi)
-        for i in range(len(scenarios))
-        for lo, hi in shards
-        for j in range(len(strategy_items))
-    ]
+    scenarios = tuple(scenarios)
+    keys = [key for key, _ in scenarios]
+    _check_unique(keys, "scenario key")
     spec = _EngineSweepSpec(
-        scenarios=scenarios,
-        strategies=strategy_items,
-        num_episodes=num_episodes,
-        entropy=entropy,
-        store=store.descriptor(),
+        scenarios=tuple(scenario for _, scenario in scenarios),
+        strategies=tuple(strategies.values()),
+        entropy=resolve_entropy(seed),
         profile=profile,
     )
-    try:
-        outcomes = _map_tasks(spec, _run_engine_shard, tasks, n_jobs, store)
-        table: dict = {}
-        for i, (key, scenario) in enumerate(scenarios):
-            for j, (name, _) in enumerate(strategy_items):
-                steps = max(s for si, sj, s, _ in outcomes if (si, sj) == (i, j))
-                merged = EngineProfile.merge(
-                    *(p for si, sj, _, p in outcomes if (si, sj) == (i, j))
-                )
-                table[(key, name)] = BatchSimulationResult(
-                    **{
-                        metric: store.array((i, j, metric)).copy()
-                        for metric in _ENGINE_METRICS
-                    },
-                    steps=steps,
-                    availability=(
-                        store.array((i, j, "availability")).copy()
-                        if scenario.f is not None
-                        else None
-                    ),
-                    profile=merged if profile else None,
-                )
-        return table
-    finally:
-        store.close()
+    return _run_grid(
+        spec, _run_engine_shard, keys, list(strategies), num_episodes, n_jobs
+    )
 
 
-def _map_tasks(spec, runner, tasks, n_jobs: int, store: SharedResultStore) -> list:
+def _map_tasks(spec, runner, tasks, n_jobs: int) -> list:
     """Run the shard tasks on a worker pool (in-process when pointless).
 
     A single worker — or a single task — skips the pool entirely and runs
-    the identical shard code in-process against the parent-owned store,
-    which keeps ``n_jobs=2`` usable on one-core machines for parity
-    testing without fork overhead dominating.
+    the identical shard code in-process, which keeps ``n_jobs=2`` usable on
+    one-core machines for parity testing without fork overhead dominating.
     """
     jobs = _effective_jobs(n_jobs, len(tasks))
     if jobs == 1:
-        _init_worker(spec, store=store)
+        _init_worker(spec)
         try:
             return [runner(task) for task in tasks]
         finally:
             _WORKER.clear()
-    context = _pool_context()
-    unregister = context.get_start_method() != "fork"
-    with context.Pool(
-        jobs, initializer=_init_worker, initargs=(spec, None, unregister)
-    ) as pool:
+    with _pool_context().Pool(jobs, initializer=_init_worker, initargs=(spec,)) as pool:
         return pool.map(runner, tasks)

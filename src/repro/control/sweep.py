@@ -4,7 +4,11 @@ One home for the sweep helpers the Table 7 / Figure 12 benchmarks used to
 duplicate: the emulation-testbed cell runner, the node-POMDP batch-engine
 sweep, and the closed-loop two-level sweeps.  All share the cell convention
 (scenario key x strategy name) so a benchmark can print one table across
-backends, and the batched variants share one compiled engine per scenario.
+backends.  The batched variants build their scenarios here and run through
+the sharded runner of :mod:`repro.control.parallel` at every ``n_jobs``
+(in-process for ``n_jobs=1``): one compiled engine per scenario, every
+column on the same episode streams (common random numbers, also under
+``seed=None``), and a ``ValueError`` for a repeated table key.
 
 The batched sweeps accept *per-node* parameters everywhere a single
 :class:`~repro.core.node_model.NodeParameters` used to be hard-coded: pass
@@ -24,9 +28,10 @@ from ..core.metrics import summarize_runs
 from ..core.node_model import NodeParameters
 from ..core.observation import ObservationModel
 from ..core.strategies import RecoveryStrategy, ReplicationStrategy
-from ..sim import BatchRecoveryEngine, BatchSimulationResult, FleetScenario
+from ..sim import BatchSimulationResult, FleetScenario
 from ..sim.strategies import BatchStrategy
-from .two_level import TwoLevelController, TwoLevelResult
+from .parallel import parallel_closed_loop_table, parallel_engine_sweep_table
+from .two_level import TwoLevelResult
 
 __all__ = [
     "default_tolerance_threshold",
@@ -145,45 +150,7 @@ def engine_fleet_sweep(
         )
         for n1 in n1_values
     ]
-    if n_jobs != 1:
-        from .parallel import parallel_engine_sweep_table
-
-        return parallel_engine_sweep_table(
-            scenarios, strategies, num_episodes, seed, n_jobs
-        )
-    table: dict[tuple[int, str], BatchSimulationResult] = {}
-    for n1, scenario in scenarios:
-        engine = BatchRecoveryEngine(scenario)
-        for name, strategy in strategies.items():
-            table[(n1, name)] = engine.run(strategy, num_episodes=num_episodes, seed=seed)
-    return table
-
-
-def _run_cells(
-    scenario: FleetScenario,
-    cells: Sequence["ClosedLoopCell"],
-    num_envs: int,
-    seed: int | None,
-    k: int,
-    initial_nodes: int | None,
-) -> dict[str, TwoLevelResult]:
-    """Run every cell against one scenario on one shared compiled engine."""
-    engine = BatchRecoveryEngine(scenario)
-    results: dict[str, TwoLevelResult] = {}
-    for cell in cells:
-        controller = TwoLevelController(
-            scenario,
-            num_envs,
-            cell.recovery,
-            replication_strategy=cell.replication,
-            initial_nodes=initial_nodes,
-            k=k,
-            enforce_invariant=cell.enforce_invariant,
-            respect_recovery_limit=cell.respect_recovery_limit,
-            engine=engine,
-        )
-        results[cell.name] = controller.run(seed=seed)
-    return results
+    return parallel_engine_sweep_table(scenarios, strategies, num_episodes, seed, n_jobs)
 
 
 @dataclass(frozen=True)
@@ -242,25 +209,9 @@ def closed_loop_sweep(
         )
         for n1 in n1_values
     ]
-    if n_jobs != 1:
-        from .parallel import parallel_closed_loop_table
-
-        return parallel_closed_loop_table(
-            scenarios,
-            cells,
-            num_envs,
-            seed,
-            k,
-            [n1 for n1, _ in scenarios],
-            n_jobs,
-        )
-    table: dict[tuple[int, str], TwoLevelResult] = {}
-    for n1, scenario in scenarios:
-        for name, result in _run_cells(
-            scenario, cells, num_envs, seed, k, initial_nodes=n1
-        ).items():
-            table[(n1, name)] = result
-    return table
+    return parallel_closed_loop_table(
+        scenarios, cells, num_envs, seed, k, [n1 for n1, _ in scenarios], n_jobs
+    )
 
 
 def mixed_closed_loop_sweep(
@@ -311,19 +262,9 @@ def mixed_closed_loop_sweep(
             )
             scenario = apply_class_deltas(scenario, deltas)
         prepared.append((scenario_name, scenario))
-    if n_jobs != 1:
-        from .parallel import parallel_closed_loop_table
-
-        return parallel_closed_loop_table(
-            prepared, cells, num_envs, seed, k, initial_nodes, n_jobs
-        )
-    table: dict[tuple[str, str], TwoLevelResult] = {}
-    for scenario_name, scenario in prepared:
-        for name, result in _run_cells(
-            scenario, cells, num_envs, seed, k, initial_nodes
-        ).items():
-            table[(scenario_name, name)] = result
-    return table
+    return parallel_closed_loop_table(
+        prepared, cells, num_envs, seed, k, initial_nodes, n_jobs
+    )
 
 
 def attacker_intensity_sweep(
@@ -352,16 +293,6 @@ def attacker_intensity_sweep(
         (float(intensity), scenario.scale_attack(intensity))
         for intensity in intensities
     ]
-    if n_jobs != 1:
-        from .parallel import parallel_closed_loop_table
-
-        return parallel_closed_loop_table(
-            scaled_scenarios, cells, num_envs, seed, k, initial_nodes, n_jobs
-        )
-    table: dict[tuple[float, str], TwoLevelResult] = {}
-    for intensity, scaled in scaled_scenarios:
-        for name, result in _run_cells(
-            scaled, cells, num_envs, seed, k, initial_nodes
-        ).items():
-            table[(intensity, name)] = result
-    return table
+    return parallel_closed_loop_table(
+        scaled_scenarios, cells, num_envs, seed, k, initial_nodes, n_jobs
+    )

@@ -69,6 +69,7 @@ from ..envs.vector_recovery import VectorRecoveryEnv
 from ..sim import BatchRecoveryEngine, FleetScenario
 from ..sim.kernels import EngineProfile
 from ..sim.strategies import BatchStrategy
+from ..sim.streams import resolve_entropy, system_seed_sequences
 from ..core.metrics import summarize_metric_arrays
 from .vector_system import (
     VectorSystemController,
@@ -657,9 +658,10 @@ class TwoLevelController:
     ) -> list[np.random.SeedSequence] | None:
         """Per-episode controller streams from the shared episode seed tree.
 
-        The engine consumes children ``0 .. B*N-1`` of ``SeedSequence(seed)``
-        (episode-major); the system controllers take the next ``B`` children,
-        so one seed reproduces the entire closed loop — including the scalar
+        The engine consumes children ``0 .. B*N-1`` of the seed tree
+        (episode-major); the system controllers take the next ``B``
+        children (:func:`repro.sim.streams.system_seed_sequences`), so one
+        seed reproduces the entire closed loop — including the scalar
         reference, which hands child ``B*N + b`` to episode ``b``'s scalar
         controller.
         """
@@ -667,9 +669,9 @@ class TwoLevelController:
             self.replication_strategy
         ):
             return None
-        total = self.num_envs * self.smax
-        children = np.random.SeedSequence(seed).spawn(total + self.num_envs)
-        return children[total:]
+        return system_seed_sequences(
+            resolve_entropy(seed), self.num_envs, self.smax, 0, self.num_envs
+        )
 
     # -- batched closed loop -------------------------------------------------------
     def run(
@@ -687,7 +689,8 @@ class TwoLevelController:
         Args:
             seed: Episode seed; seeds the engine's per-(episode, node)
                 streams and the per-episode system-controller streams from
-                one ``SeedSequence`` tree.
+                one ``SeedSequence`` tree (:mod:`repro.sim.streams`).
+                ``None`` draws one fresh entropy for the whole tree.
             policy_rng: Generator handed to stochastic node-level policies
                 (deterministic strategies ignore it).
             on_step: Observer called once per step with a
@@ -715,6 +718,8 @@ class TwoLevelController:
                 sharded sweeps exactly like ``uniforms``.
         """
         env = self.env
+        if uniforms is None:
+            seed = resolve_entropy(seed)
         observation = env.reset(
             seed=seed,
             uniforms=uniforms,
@@ -838,10 +843,7 @@ class TwoLevelController:
         """
         engine = self.env.engine
         batch, slots = self.num_envs, self.smax
-        if engine.is_dynamic and seed is None:
-            from ..sim.adversary import resolve_adversary_entropy
-
-            seed = resolve_adversary_entropy(None)
+        seed = resolve_entropy(seed)
         uniforms = engine.draw_uniforms(seed, batch)
         adversary_uniforms = engine.draw_adversary_uniforms(seed, batch)
         sequences = self._system_seed_sequences(seed)

@@ -47,6 +47,7 @@ from ..core.strategies import (
     ReplicationThresholdStrategy,
     strategy_is_class_aware,
 )
+from ..sim.streams import resolve_entropy, seed_children, uniform_rows
 
 __all__ = [
     "VectorSystemDecision",
@@ -158,7 +159,7 @@ class VectorSystemController:
         horizon: Maximum number of :meth:`step` calls (bounds the
             pre-generated uniform buffer of stochastic strategies).
         seed: Seed of the per-episode controller streams; episode ``b``
-            draws from child ``b`` of ``SeedSequence(seed)``.
+            draws from child ``b`` of the seed's ``SeedSequence`` tree.
         seed_sequences: Explicit per-episode seed sequences overriding
             ``seed`` (one per episode) — how the two-level controller
             shares one seed tree between the engine and the system level.
@@ -245,11 +246,8 @@ class VectorSystemController:
                         f"got {len(children)}"
                     )
             else:
-                children = np.random.SeedSequence(seed).spawn(num_episodes)
-            buffer = np.empty((num_episodes, horizon))
-            for b, child in enumerate(children):
-                buffer[b] = np.random.default_rng(child).random(horizon)
-            self._uniforms = buffer
+                children = seed_children(resolve_entropy(seed), 0, num_episodes)
+            self._uniforms = uniform_rows(children, num_episodes, (horizon,))
         self._step_index = 0
         self.total_additions = np.zeros(num_episodes, dtype=np.int64)
         self.total_evictions = np.zeros(num_episodes, dtype=np.int64)

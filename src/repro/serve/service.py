@@ -12,8 +12,9 @@ Cross-fleet batching
 Sessions whose scenarios compile to the same engine tables (identical
 scenario mapping and kernel backend) and that register before their cohort
 takes its first tick are **fused**: their per-session uniform buffers —
-``engine.draw_uniforms(seed_i, B_i)``, episode-major children of
-``SeedSequence(seed_i)`` — are concatenated along the episode axis into a
+``engine.draw_uniforms(seed_i, B_i)``, the episode-major engine part of
+session ``i``'s ``SeedSequence`` tree (:mod:`repro.sim.streams`) — are
+concatenated along the episode axis into a
 single :class:`~repro.sim.engine.BatchEpisodeState`, and every tick runs
 ONE fused ``engine.step`` for the whole cohort instead of one call per
 fleet.  Engine episode rows are mutually independent (the same property
@@ -29,7 +30,7 @@ frozen dataclasses), ``k``, ``initial_nodes``, invariant and recovery-limit
 switches and record flags — form one **control group** that runs ONE
 :class:`~repro.control.TwoLevelLoop` over the members' concatenated episode
 rows, with the members' per-episode system-controller seed streams (the
-tails of each ``SeedSequence(seed_i)``) concatenated in the same order.  A
+system part of each session's seed tree) concatenated in the same order.  A
 tick is therefore one engine call plus one ``pre_step``/``post_step`` per
 group, not per session.  Every control operation is row-independent, so
 each session's row slice still replays its direct run bit for bit.
@@ -60,9 +61,10 @@ import numpy as np
 
 from ..control.policy_cache import DEFAULT_POLICY_CACHE, PolicySolveCache
 from ..control.two_level import TwoLevelController, TwoLevelLoop, TwoLevelResult, TwoLevelStepEvent
-from ..control.vector_system import VectorSystemDecision
+from ..control.vector_system import VectorSystemDecision, strategy_consumes_rng
 from ..envs.base import VectorObservation
 from ..sim import BatchRecoveryEngine, FleetScenario
+from ..sim.streams import resolve_entropy, system_seed_sequences
 from ..sim.scenario_io import (
     load_yaml_document,
     run_section,
@@ -293,20 +295,24 @@ class _ControlGroup:
 
     def begin(self, lo: int) -> int:
         """Place the members from cohort row ``lo``; returns the next row."""
-        rows = 0
-        tails = []
-        for session in self.sessions:
-            session.lo, session.hi = rows, rows + session.controller.num_envs
-            rows = session.hi
-            tails.append(session.controller._system_seed_sequences(session.seed))
-        self.lo, self.hi = lo, lo + rows
         # Equal replication strategies agree on whether they draw; the
         # deterministic ones take no seed streams at all.
+        strategy = self.sessions[0].controller.replication_strategy
+        sequences = (
+            [] if strategy is not None and strategy_consumes_rng(strategy) else None
+        )
+        rows = 0
+        for session in self.sessions:
+            num_envs = session.controller.num_envs
+            session.lo, session.hi = rows, rows + num_envs
+            rows = session.hi
+            if sequences is not None:
+                sequences += system_seed_sequences(
+                    session.seed, num_envs, session.controller.smax, 0, num_envs
+                )
+        self.lo, self.hi = lo, lo + rows
         self.loop = self.sessions[0].controller.begin_loop(
-            system_seed_sequences=(
-                None if tails[0] is None else [c for tail in tails for c in tail]
-            ),
-            num_envs=rows,
+            system_seed_sequences=sequences, num_envs=rows
         )
         return self.hi
 
@@ -482,10 +488,7 @@ class DecisionService:
         """
         with self._lock:
             engine = controller.env.engine
-            if engine.is_dynamic and seed is None:
-                from ..sim.adversary import resolve_adversary_entropy
-
-                seed = resolve_adversary_entropy(None)
+            seed = resolve_entropy(seed)
             key = self._scenario_key(controller.scenario, engine.backend)
             self._engines.setdefault(key, engine)
             session = _Session(f"s{next(self._ids)}", controller, seed)

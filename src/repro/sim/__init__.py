@@ -42,9 +42,10 @@ Layer contract
   is kept unchanged as the obviously-correct implementation; the parity
   suite (``tests/test_sim_equivalence.py``) asserts the engine bit-equal to
   it per strategy class.
-* **Seeding convention (PR 1):** ``SeedSequence(seed)`` spawns one child
-  per ``(episode, node)`` stream, episode-major; both paths consume the
-  same children, which is what makes parity exact rather than statistical.
+* **Seeding convention (PR 1):** the seed's ``SeedSequence`` tree
+  (:mod:`repro.sim.streams`) spawns one child per ``(episode, node)``
+  stream, episode-major; both paths consume the same children, which is
+  what makes parity exact rather than statistical.
   (This replaced the pre-1.1 single shared generator — same-seed outputs
   differ from version 1.0.0.)
 

@@ -42,12 +42,11 @@ and threads back into the per-step hooks.  An adversary implements:
 Randomness
 ----------
 
-Adversary uniforms come from a **salted** seed root,
-``SeedSequence([_ADVERSARY_SALT, entropy], spawn_key=(b,))`` per episode
-``b``, so they never collide with the engine's per-``(episode, node)``
-streams (children of ``SeedSequence(entropy)``) or the system controllers'
+Adversary uniforms are the salted per-episode rows of the run's seed tree
+(:func:`repro.sim.streams.adversary_uniforms`), so they never collide with
+the engine's per-``(episode, node)`` streams or the system controllers'
 streams.  Episode rows are independent, which is what makes the scalar
-reference replay and the PR-8 shard pool bit-identical to a monolithic run.
+reference replay and the sharded sweeps bit-identical to a monolithic run.
 
 The defender's belief recursion intentionally stays on the scenario's
 *nominal* model: controllers do not know the true attacker, so a bursty or
@@ -61,6 +60,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .streams import adversary_uniforms
+
 __all__ = [
     "AdversaryProcess",
     "StaticAdversary",
@@ -71,23 +72,7 @@ __all__ = [
     "adversary_from_spec",
     "adversary_to_spec",
     "draw_adversary_uniforms",
-    "resolve_adversary_entropy",
 ]
-
-#: Salt prepended to the run entropy so adversary streams are independent of
-#: the engine's episode streams and the controllers' system streams.
-_ADVERSARY_SALT = 0x5EED_AD7E
-
-
-def resolve_adversary_entropy(seed: int | None) -> int:
-    """A concrete entropy value for the adversary seed tree.
-
-    ``None`` draws fresh OS entropy (the run is then non-reproducible,
-    matching the engine's ``seed=None`` convention); integers pass through.
-    """
-    if seed is None:
-        return int(np.random.SeedSequence().entropy)
-    return int(seed)
 
 
 def draw_adversary_uniforms(
@@ -111,13 +96,7 @@ def draw_adversary_uniforms(
         return None
     if entropy is None:
         raise ValueError("adversary uniforms require a concrete entropy/seed")
-    buffer = np.empty((hi - lo, horizon, width))
-    for b in range(lo, hi):
-        sequence = np.random.SeedSequence(
-            [_ADVERSARY_SALT, int(entropy)], spawn_key=(b,)
-        )
-        buffer[b - lo] = np.random.default_rng(sequence).random((horizon, width))
-    return buffer
+    return adversary_uniforms(entropy, lo, hi, horizon, width)
 
 
 class AdversaryProcess:

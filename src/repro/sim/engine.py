@@ -15,9 +15,9 @@ The engine is not merely statistically equivalent to the scalar
 per episode.  Three properties make that possible:
 
 1. *Counter-free randomness.*  Each ``(episode, node)`` pair draws its
-   uniforms from an independent child of ``numpy.random.SeedSequence(seed)``
-   (episode-major order), the same streams the scalar simulator consumes
-   when run one episode at a time.  The uniforms are pre-generated into a
+   uniforms from an independent child of the run's ``SeedSequence`` tree
+   (episode-major order, :mod:`repro.sim.streams`), the same streams the
+   scalar simulator consumes when run one episode at a time.  The uniforms are pre-generated into a
    ``(B, N, 2 * horizon)`` buffer and consumed through a per-stream cursor,
    so the skip-on-crash draw pattern of the scalar loop is reproduced.
 2. *Exact categorical inversion.*  ``Generator.choice(n, p)`` internally
@@ -61,10 +61,10 @@ from ..core.strategies import RecoveryStrategy
 from .adversary import (
     StaticAdversary,
     draw_adversary_uniforms as _draw_adversary_uniforms,
-    resolve_adversary_entropy,
 )
 from .kernels import BACKENDS, EngineProfile, resolve_backend
 from .scenario import FleetScenario
+from .streams import engine_uniforms, resolve_entropy
 from .strategies import BatchMultiThreshold, BatchStrategy, as_batch_strategy
 
 __all__ = ["BatchEpisodeState", "BatchSimulationResult", "BatchRecoveryEngine"]
@@ -327,9 +327,10 @@ class BatchRecoveryEngine:
     def draw_uniforms(self, seed: int | None, num_episodes: int) -> np.ndarray:
         """Pre-generate the uniform buffer, shape ``(B, N, 2 * horizon)``.
 
-        Stream ``(b, j)`` is child ``b * N + j`` of ``SeedSequence(seed)``
-        (episode-major), matching a scalar run of episode ``b`` on node
-        ``j``'s parameters with that child's generator.  Each scalar step
+        Stream ``(b, j)`` is child ``b * N + j`` of the seed tree
+        (episode-major, :func:`repro.sim.streams.engine_uniforms`),
+        matching a scalar run of episode ``b`` on node ``j``'s parameters
+        with that child's generator.  Each scalar step
         consumes one uniform for the state transition and, unless the node
         crashed, one for the observation, so ``2 * horizon`` doubles bound
         an episode's consumption.
@@ -346,11 +347,9 @@ class BatchRecoveryEngine:
             cached = _UNIFORM_CACHE.get(key)
             if cached is not None:
                 return cached
-        children = np.random.SeedSequence(seed).spawn(num_episodes * num_nodes)
-        buffer = np.empty((num_episodes * num_nodes, width))
-        for row, child in enumerate(children):
-            buffer[row] = np.random.default_rng(child).random(width)
-        uniforms = buffer.reshape(num_episodes, num_nodes, width)
+        uniforms = engine_uniforms(
+            resolve_entropy(seed), 0, num_episodes, num_nodes, width
+        )
         if seed is not None and uniforms.size <= _UNIFORM_CACHE_MAX_ELEMENTS:
             uniforms.setflags(write=False)
             if len(_UNIFORM_CACHE) >= _UNIFORM_CACHE_MAX_ENTRIES:
@@ -363,8 +362,8 @@ class BatchRecoveryEngine:
     ) -> np.ndarray | None:
         """Pre-draw the adversary's ``(B, horizon, K)`` uniform buffer.
 
-        Episode ``b``'s row comes from the salted stream
-        ``SeedSequence([salt, seed], spawn_key=(b,))``, independent of the
+        Episode ``b``'s row comes from the salted per-episode stream of
+        :func:`repro.sim.streams.adversary_uniforms`, independent of the
         engine streams of :meth:`draw_uniforms`; rows are per-episode, so
         the ``[b : b + 1]`` scalar replay and the ``[lo : hi)`` shard slices
         of :mod:`repro.control.parallel` reproduce a monolithic draw
@@ -425,7 +424,7 @@ class BatchRecoveryEngine:
             if self._dynamic and seed is None:
                 # Resolve one entropy up front so the engine streams and the
                 # adversary streams come from the same (fresh) root.
-                seed = resolve_adversary_entropy(None)
+                seed = resolve_entropy(None)
             uniforms = self.draw_uniforms(seed, num_episodes)
             if self._dynamic and adversary_uniforms is None:
                 adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)
@@ -480,7 +479,7 @@ class BatchRecoveryEngine:
             return np.empty(0)
         strategy = BatchMultiThreshold(np.repeat(thresholds, num_episodes, axis=0))
         if self._dynamic and seed is None:
-            seed = resolve_adversary_entropy(None)
+            seed = resolve_entropy(None)
         # Common random numbers for the adversary too: every candidate sees
         # the same attack realisations (None for static adversaries).
         result = self._simulate(
@@ -582,7 +581,7 @@ class BatchRecoveryEngine:
             if num_episodes is None or num_episodes < 1:
                 raise ValueError("num_episodes must be >= 1")
             if self._dynamic and seed is None:
-                seed = resolve_adversary_entropy(None)
+                seed = resolve_entropy(None)
             uniforms = self.draw_uniforms(seed, num_episodes)
             if self._dynamic and adversary_uniforms is None:
                 adversary_uniforms = self.draw_adversary_uniforms(seed, num_episodes)

@@ -4,15 +4,21 @@ The parallel execution layer (:mod:`repro.control.parallel`) promises one
 thing above all: **any shard count reproduces the single-process sweep bit
 for bit** under a fixed seed.  This suite pins that contract down —
 
-* the sharding/seeding primitives: contiguous episode partitions,
-  spawn-key reconstruction of ``SeedSequence`` children, uniform-buffer
-  slices identical to the engine's own seed tree;
+* the sharding primitives and the seed tree of :mod:`repro.sim.streams`:
+  contiguous episode partitions, and engine / system / adversary rows of
+  any episode range ``[lo, hi)`` identical to the matching rows of a
+  monolithic draw;
 * bit-exact table parity for ``n_jobs in {1, 2, 3}`` across
   ``closed_loop_sweep``, ``attacker_intensity_sweep``,
-  ``engine_fleet_sweep`` and ``mixed_closed_loop_sweep`` — including
-  stochastic replication cells (which consume the per-episode system
-  streams) and labelled scenarios (per-class metric dictionaries);
-* :meth:`EngineProfile.merge` and profile pickling round-trips;
+  ``engine_fleet_sweep`` and ``mixed_closed_loop_sweep`` against direct
+  ``engine.run(seed=...)`` / ``TwoLevelController(...).run(seed=...)``
+  calls — including stochastic replication cells (which consume the
+  per-episode system streams) and labelled scenarios (per-class metric
+  dictionaries);
+* common random numbers under ``seed=None`` and the named error for a
+  repeated table key;
+* shard-result concatenation, :meth:`EngineProfile.merge` and profile
+  pickling round-trips;
 * the named ``n_jobs``/``n1`` validation errors;
 * the policy-solve cache: hit/miss/invalidation accounting, infeasible
   outcome caching, and the two hash properties the cache key relies on —
@@ -43,14 +49,13 @@ from repro.control import (
     mixed_closed_loop_sweep,
 )
 from repro.control.parallel import (
+    _concatenate,
     parallel_closed_loop_table,
-    resolve_root_entropy,
     shard_episodes,
     shard_uniforms,
-    spawned_child,
     validate_n_jobs,
 )
-from repro.control.two_level import TwoLevelController
+from repro.control.two_level import TwoLevelController, TwoLevelResult
 from repro.control.policy_cache import fitted_model_key
 from repro.core import (
     BetaBinomialObservationModel,
@@ -60,8 +65,14 @@ from repro.core import (
     ThresholdStrategy,
 )
 from repro.core.system_model import EmpiricalSystemModel, class_aware_system_model
-from repro.sim import BatchRecoveryEngine, FleetScenario, NodeClass
+from repro.sim import BatchRecoveryEngine, BurstyAdversary, FleetScenario, NodeClass
 from repro.sim.kernels import EngineProfile
+from repro.sim.streams import (
+    adversary_uniforms,
+    engine_uniforms,
+    resolve_entropy,
+    system_seed_sequences,
+)
 
 PARAMS = NodeParameters(p_a=0.1)
 HARDENED = NodeParameters(p_a=0.04, p_c1=0.01, p_c2=0.03, eta=1.5, delta_r=20)
@@ -123,6 +134,59 @@ def _assert_two_level_tables_equal(reference: dict, table: dict) -> None:
                 )
 
 
+def _assert_engine_tables_equal(reference: dict, table: dict) -> None:
+    assert set(reference) == set(table)
+    for key in reference:
+        a, b = reference[key], table[key]
+        assert a.steps == b.steps
+        for field in ENGINE_FIELDS:
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype, (key, field)
+            np.testing.assert_array_equal(x, y, err_msg=f"{key}/{field}")
+        assert (a.availability is None) == (b.availability is None)
+        if a.availability is not None:
+            np.testing.assert_array_equal(a.availability, b.availability)
+
+
+def _direct_closed_loop_table(scenarios, cells, num_envs, seed, k=1, initial_nodes=None):
+    """The oracle: one direct ``TwoLevelController.run(seed=...)`` per cell."""
+    table = {}
+    for index, (key, scenario) in enumerate(scenarios):
+        engine = BatchRecoveryEngine(scenario)
+        initial = (
+            initial_nodes[index] if isinstance(initial_nodes, list) else initial_nodes
+        )
+        for cell in cells:
+            table[(key, cell.name)] = TwoLevelController(
+                scenario,
+                num_envs,
+                cell.recovery,
+                replication_strategy=cell.replication,
+                initial_nodes=initial,
+                k=k,
+                enforce_invariant=cell.enforce_invariant,
+                respect_recovery_limit=cell.respect_recovery_limit,
+                engine=engine,
+            ).run(seed=seed)
+    return table
+
+
+def _direct_engine_table(scenarios, strategies, num_episodes, seed):
+    """The oracle: one direct ``engine.run(seed=...)`` per strategy."""
+    table = {}
+    for key, scenario in scenarios:
+        engine = BatchRecoveryEngine(scenario)
+        for name, strategy in strategies.items():
+            table[(key, name)] = engine.run(strategy, num_episodes=num_episodes, seed=seed)
+    return table
+
+
+def _sweep_scenario(observation_model, num_nodes, horizon, f):
+    return FleetScenario(
+        (PARAMS,) * num_nodes, (observation_model,) * num_nodes, horizon=horizon, f=f
+    )
+
+
 class TestShardingPrimitives:
     def test_shards_are_contiguous_and_cover_every_episode(self):
         for episodes in (1, 2, 5, 7, 100):
@@ -148,21 +212,11 @@ class TestShardingPrimitives:
     def test_validate_n_jobs_accepts_numpy_integers(self):
         assert validate_n_jobs(np.int64(3)) == 3
 
-    def test_spawned_child_matches_serial_spawn(self):
-        for entropy in (0, 7, 123456789):
-            children = np.random.SeedSequence(entropy).spawn(5)
-            for index, child in enumerate(children):
-                rebuilt = spawned_child(entropy, index)
-                assert rebuilt.spawn_key == child.spawn_key
-                assert (
-                    np.random.default_rng(rebuilt).random(8).tolist()
-                    == np.random.default_rng(child).random(8).tolist()
-                )
-
-    def test_resolve_root_entropy(self):
-        assert resolve_root_entropy(42) == 42
-        drawn = resolve_root_entropy(None)
-        assert isinstance(drawn, int) and drawn != resolve_root_entropy(None)
+    def test_resolve_entropy(self):
+        assert resolve_entropy(42) == 42
+        assert resolve_entropy(np.int64(42)) == 42
+        drawn = resolve_entropy(None)
+        assert isinstance(drawn, int) and drawn != resolve_entropy(None)
 
     def test_shard_uniforms_slices_the_engine_seed_tree(self, observation_model):
         scenario = FleetScenario.homogeneous(
@@ -173,6 +227,51 @@ class TestShardingPrimitives:
         for lo, hi in ((0, 2), (2, 5), (5, 6), (0, 6)):
             shard = shard_uniforms(5, lo, hi, scenario.num_nodes, 2 * scenario.horizon)
             np.testing.assert_array_equal(shard, full[lo:hi])
+
+
+class TestSeedTree:
+    """:mod:`repro.sim.streams` at episode ranges that start past zero."""
+
+    BATCH, NODES, HORIZON = 6, 4, 10
+
+    @pytest.mark.parametrize("lo,hi", [(1, 3), (2, 6), (5, 6)])
+    def test_engine_rows_match_draw_uniforms(self, observation_model, lo, hi):
+        scenario = FleetScenario.homogeneous(
+            PARAMS, observation_model, num_nodes=self.NODES, horizon=self.HORIZON, f=1
+        )
+        full = BatchRecoveryEngine(scenario).draw_uniforms(9, self.BATCH)
+        rows = engine_uniforms(9, lo, hi, self.NODES, 2 * self.HORIZON)
+        assert rows.shape == (hi - lo, self.NODES, 2 * self.HORIZON)
+        np.testing.assert_array_equal(rows, full[lo:hi])
+
+    @pytest.mark.parametrize("lo,hi", [(1, 3), (2, 6), (5, 6)])
+    def test_system_children_follow_the_engine_children(self, lo, hi):
+        total = self.BATCH * self.NODES
+        spawned = np.random.SeedSequence(9).spawn(total + self.BATCH)
+        expected = spawned[total + lo : total + hi]
+        children = system_seed_sequences(9, self.BATCH, self.NODES, lo, hi)
+        assert [c.spawn_key for c in children] == [c.spawn_key for c in expected]
+        for child, reference in zip(children, expected):
+            assert (
+                np.random.default_rng(child).random(8).tolist()
+                == np.random.default_rng(reference).random(8).tolist()
+            )
+
+    @pytest.mark.parametrize("lo,hi", [(1, 3), (2, 6), (5, 6)])
+    def test_adversary_rows_match_the_monolithic_draw(self, observation_model, lo, hi):
+        scenario = FleetScenario.homogeneous(
+            PARAMS,
+            observation_model,
+            num_nodes=self.NODES,
+            horizon=self.HORIZON,
+            f=1,
+            adversary=BurstyAdversary(),
+        )
+        engine = BatchRecoveryEngine(scenario)
+        full = engine.draw_adversary_uniforms(9, self.BATCH)
+        width = engine.adversary.uniforms_per_step(self.NODES)
+        rows = adversary_uniforms(9, lo, hi, self.HORIZON, width)
+        np.testing.assert_array_equal(rows, full[lo:hi])
 
 
 class TestDefaultToleranceThreshold:
@@ -188,9 +287,11 @@ class TestDefaultToleranceThreshold:
 
 
 class TestSweepParity:
-    @pytest.mark.parametrize("n_jobs", [2, 3])
+    """Every sweep at ``n_jobs in {1, 2, 3}`` against direct seeded runs."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     def test_closed_loop_sweep_is_bit_identical(self, observation_model, n_jobs):
-        kwargs = dict(
+        table = closed_loop_sweep(
             n1_values=[4, 7],
             cells=_cells(),
             node_params=PARAMS,
@@ -199,29 +300,41 @@ class TestSweepParity:
             num_envs=7,
             horizon=15,
             seed=3,
+            n_jobs=n_jobs,
         )
-        reference = closed_loop_sweep(**kwargs)
-        _assert_two_level_tables_equal(reference, closed_loop_sweep(**kwargs, n_jobs=n_jobs))
+        scenarios = [
+            (n1, _sweep_scenario(observation_model, 9, 15, default_tolerance_threshold(n1)))
+            for n1 in (4, 7)
+        ]
+        reference = _direct_closed_loop_table(
+            scenarios, _cells(), 7, seed=3, initial_nodes=[4, 7]
+        )
+        _assert_two_level_tables_equal(reference, table)
 
-    @pytest.mark.parametrize("n_jobs", [2, 3])
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     def test_attacker_intensity_sweep_is_bit_identical(self, observation_model, n_jobs):
         scenario = FleetScenario.homogeneous(
             PARAMS, observation_model, num_nodes=6, horizon=15, f=1
         )
-        kwargs = dict(
+        table = attacker_intensity_sweep(
             scenario=scenario,
             intensities=[1.0, 2.5],
             cells=_cells(),
             num_envs=7,
             seed=11,
             initial_nodes=4,
+            n_jobs=n_jobs,
         )
-        reference = attacker_intensity_sweep(**kwargs)
-        _assert_two_level_tables_equal(
-            reference, attacker_intensity_sweep(**kwargs, n_jobs=n_jobs)
+        scenarios = [(x, scenario.scale_attack(x)) for x in (1.0, 2.5)]
+        reference = _direct_closed_loop_table(
+            scenarios, _cells(), 7, seed=11, initial_nodes=4
         )
+        _assert_two_level_tables_equal(reference, table)
 
-    def test_mixed_sweep_carries_class_metrics_through_shards(self, observation_model):
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    def test_mixed_sweep_carries_class_metrics_through_shards(
+        self, observation_model, n_jobs
+    ):
         scenario = FleetScenario.mixed(
             [
                 NodeClass("hardened", HARDENED, observation_model, count=3),
@@ -230,44 +343,41 @@ class TestSweepParity:
             horizon=15,
             f=1,
         )
-        kwargs = dict(
+        table = mixed_closed_loop_sweep(
             scenarios={"mixed": scenario},
             cells=_cells(),
             num_envs=6,
             seed=7,
             initial_nodes=4,
+            n_jobs=n_jobs,
         )
-        reference = mixed_closed_loop_sweep(**kwargs)
-        table = mixed_closed_loop_sweep(**kwargs, n_jobs=3)
+        reference = _direct_closed_loop_table(
+            [("mixed", scenario)], _cells(), 6, seed=7, initial_nodes=4
+        )
         _assert_two_level_tables_equal(reference, table)
         assert table[("mixed", "tolerance")].class_average_cost is not None
 
-    @pytest.mark.parametrize("n_jobs", [2, 3])
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     def test_engine_fleet_sweep_is_bit_identical(self, observation_model, n_jobs):
-        kwargs = dict(
+        strategies = {"threshold": ThresholdStrategy(0.75)}
+        table = engine_fleet_sweep(
             n1_values=[4, 7],
-            strategies={"threshold": ThresholdStrategy(0.75)},
+            strategies=strategies,
             node_params=PARAMS,
             observation_model=observation_model,
             num_episodes=7,
             horizon=15,
             seed=3,
+            n_jobs=n_jobs,
         )
-        reference = engine_fleet_sweep(**kwargs)
-        table = engine_fleet_sweep(**kwargs, n_jobs=n_jobs)
-        assert set(reference) == set(table)
-        for key in reference:
-            a, b = reference[key], table[key]
-            assert a.steps == b.steps
-            for field in ENGINE_FIELDS:
-                np.testing.assert_array_equal(
-                    getattr(a, field), getattr(b, field), err_msg=f"{key}/{field}"
-                )
-            assert (a.availability is None) == (b.availability is None)
-            if a.availability is not None:
-                np.testing.assert_array_equal(a.availability, b.availability)
+        scenarios = [
+            (n1, _sweep_scenario(observation_model, n1, 15, default_tolerance_threshold(n1)))
+            for n1 in (4, 7)
+        ]
+        reference = _direct_engine_table(scenarios, strategies, 7, seed=3)
+        _assert_engine_tables_equal(reference, table)
 
-    @pytest.mark.parametrize("n_jobs", [2, 3])
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     def test_episode_shards_replay_the_serial_seed_tree(
         self, observation_model, n_jobs
     ):
@@ -286,17 +396,85 @@ class TestSweepParity:
             ReplicationThresholdStrategy(4), ReplicationThresholdStrategy(5), kappa=0.5
         )
         cell = ClosedLoopCell("stoch", ThresholdStrategy(0.75), stochastic)
-        serial = TwoLevelController(
-            scenario,
-            7,
-            cell.recovery,
-            replication_strategy=cell.replication,
-            initial_nodes=4,
-        ).run(seed=13)
+        reference = _direct_closed_loop_table(
+            [("s", scenario)], [cell], 7, seed=13, initial_nodes=4
+        )
         table = parallel_closed_loop_table(
             [("s", scenario)], [cell], 7, 13, 1, 4, n_jobs
         )
-        _assert_two_level_tables_equal({("s", "stoch"): serial}, table)
+        _assert_two_level_tables_equal(reference, table)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_seed_none_gives_every_column_the_same_streams(
+        self, observation_model, n_jobs
+    ):
+        """Common random numbers hold under ``seed=None`` at every n_jobs."""
+        engine_table = engine_fleet_sweep(
+            [4],
+            {"a": ThresholdStrategy(0.75), "b": ThresholdStrategy(0.75)},
+            PARAMS,
+            observation_model,
+            num_episodes=6,
+            horizon=15,
+            seed=None,
+            n_jobs=n_jobs,
+        )
+        a, b = engine_table[(4, "a")], engine_table[(4, "b")]
+        for field in ENGINE_FIELDS:
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        stochastic = MixedReplicationStrategy(
+            ReplicationThresholdStrategy(4), ReplicationThresholdStrategy(5), kappa=0.5
+        )
+        cells = [
+            ClosedLoopCell(name, ThresholdStrategy(0.75), stochastic) for name in "ab"
+        ]
+        loop_table = closed_loop_sweep(
+            [4],
+            cells,
+            PARAMS,
+            observation_model,
+            smax=9,
+            num_envs=6,
+            horizon=15,
+            seed=None,
+            n_jobs=n_jobs,
+        )
+        a, b = loop_table[(4, "a")], loop_table[(4, "b")]
+        for field in TWO_LEVEL_FIELDS:
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_repeated_table_keys_are_rejected(self, observation_model, n_jobs):
+        base = dict(
+            node_params=PARAMS,
+            observation_model=observation_model,
+            smax=6,
+            num_envs=2,
+            horizon=5,
+            n_jobs=n_jobs,
+        )
+        twins = [ClosedLoopCell("t", ThresholdStrategy(0.75))] * 2
+        with pytest.raises(ValueError, match="duplicate cell name 't'"):
+            closed_loop_sweep([4], twins, **base)
+        with pytest.raises(ValueError, match="duplicate scenario key 4"):
+            closed_loop_sweep([4, 4], _cells()[:1], **base)
+        with pytest.raises(ValueError, match="duplicate scenario key 4"):
+            engine_fleet_sweep(
+                [4, 4],
+                {"t": ThresholdStrategy(0.75)},
+                PARAMS,
+                observation_model,
+                num_episodes=2,
+                horizon=5,
+                n_jobs=n_jobs,
+            )
+        scenario = FleetScenario.homogeneous(
+            PARAMS, observation_model, num_nodes=6, horizon=5, f=1
+        )
+        with pytest.raises(ValueError, match="duplicate scenario key 2.0"):
+            attacker_intensity_sweep(
+                scenario, [2.0, 2], _cells()[:1], num_envs=2, n_jobs=n_jobs
+            )
 
     def test_sweeps_validate_n_jobs(self, observation_model):
         with pytest.raises(ValueError, match="n_jobs"):
@@ -320,6 +498,43 @@ class TestSweepParity:
                 horizon=5,
                 n_jobs=-2,
             )
+
+
+class TestShardConcatenation:
+    @staticmethod
+    def _block(values, steps=15, profile=None):
+        array = np.asarray(values, dtype=float)
+        counts = np.asarray(values, dtype=np.int64)
+        return TwoLevelResult(
+            availability=array,
+            average_nodes=array,
+            average_cost=array,
+            recovery_frequency=array,
+            additions=counts,
+            emergency_additions=counts,
+            evictions=counts,
+            steps=steps,
+            class_average_cost={"x": array},
+            class_recovery_frequency={"x": array},
+            profile=profile,
+        )
+
+    def test_blocks_join_in_order_and_profiles_merge(self):
+        joined = _concatenate(
+            [
+                self._block([1, 2], profile=EngineProfile(nanos={"strategy": 3}, steps=2)),
+                self._block([3], profile=EngineProfile(nanos={"strategy": 4}, steps=1)),
+            ]
+        )
+        assert joined.steps == 15
+        np.testing.assert_array_equal(joined.average_cost, [1.0, 2.0, 3.0])
+        assert joined.additions.dtype == np.int64
+        np.testing.assert_array_equal(joined.class_average_cost["x"], [1.0, 2.0, 3.0])
+        assert joined.profile.nanos["strategy"] == 7 and joined.profile.steps == 3
+
+    def test_shards_must_agree_on_the_episode_length(self):
+        with pytest.raises(ValueError, match="episode length"):
+            _concatenate([self._block([1]), self._block([2], steps=14)])
 
 
 class TestEngineProfileMerge:
